@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .coins import (
     THETA0,
     CoinField,
-    CoinParams,
     DisorderSpec,
     HierarchyIndex,
     build_coin,
@@ -29,7 +28,6 @@ from .observables import (
     extrapolation_points,
     fit_inv_dw,
     predicted_inv_dw,
-    quantum_dw_from_classical,
     sigma,
 )
 from .walker import (
@@ -40,8 +38,6 @@ from .walker import (
     evolve,
     evolve_absorbing,
     evolve_state,
-    init_localized,
-    step,
 )
 from .rgflow import PoleProximalError, RGTriple, absorbed_amplitude, rg_init, rg_step
 from .harness import (
@@ -62,7 +58,6 @@ __all__ = [
     "__version__",
     "THETA0",
     "CoinField",
-    "CoinParams",
     "DisorderSpec",
     "HierarchyIndex",
     "build_coin",
@@ -76,7 +71,6 @@ __all__ = [
     "extrapolation_points",
     "fit_inv_dw",
     "predicted_inv_dw",
-    "quantum_dw_from_classical",
     "sigma",
     "DEFAULT_IC",
     "AbsorptionRecord",
@@ -85,8 +79,6 @@ __all__ = [
     "evolve",
     "evolve_absorbing",
     "evolve_state",
-    "init_localized",
-    "step",
     "PoleProximalError",
     "RGTriple",
     "absorbed_amplitude",

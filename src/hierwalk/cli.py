@@ -8,6 +8,7 @@ rejected precondition exits with a nonzero status.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -15,16 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coins import CoinField, DisorderSpec, DISORDER_MODELS
+from .coins import CONFIG_KEYS, CoinField, DisorderSpec, DISORDER_MODELS
 from .harness import (
     DEFAULT_BUDGET,
     PRESETS,
+    InstanceRecord,
     SweepPlan,
+    _fmt,
     cells_from_archive,
     emit_extrapolation_table,
     emit_results,
     read_samples_csv,
     run_sweep,
+    write_cells,
+    write_samples,
 )
 from .observables import DEFAULT_THRESHOLD, classify, extrapolation_points, fit_inv_dw
 from .rgflow import PoleProximalError, absorbed_amplitude
@@ -61,22 +66,22 @@ def _parse_psi_ic(text: str | None) -> np.ndarray:
 def _field_args(args, default_model: str = "none") -> tuple[float, str, float, int, int | None]:
     """Resolve (epsilon, model, W, seed, half_width) from config then flags."""
     cfg = parse_config(args.config) if getattr(args, "config", None) else {}
-    epsilon = args.epsilon if args.epsilon is not None else (
-        float(cfg["epsilon"]) if "epsilon" in cfg else None)
-    model = args.model if args.model is not None else cfg.get("disorder_model")
-    W = args.W if args.W is not None else (float(cfg["W"]) if "W" in cfg else None)
-    seed = args.seed if args.seed is not None else (int(cfg["seed"]) if "seed" in cfg else None)
-    half_width = getattr(args, "half_width", None)
-    if half_width is None and "half_width" in cfg:
-        half_width = int(cfg["half_width"])
+    unknown = set(cfg) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
+
+    def pick(flag, key, convert, default):
+        if flag is not None:
+            return flag
+        return convert(cfg[key]) if key in cfg else default
+
+    epsilon = pick(args.epsilon, "epsilon", float, None)
     if epsilon is None:
         raise ValueError("epsilon is required (flag --epsilon or config key 'epsilon')")
-    if model is None:
-        model = default_model
-    if W is None:
-        W = 0.0
-    if seed is None:
-        seed = 0
+    model = pick(args.model, "disorder_model", str, default_model)
+    W = pick(args.W, "W", float, 0.0)
+    seed = pick(args.seed, "seed", int, 0)
+    half_width = pick(getattr(args, "half_width", None), "half_width", int, None)
     return float(epsilon), model, float(W), int(seed), half_width
 
 
@@ -94,8 +99,14 @@ def _window_from(args) -> tuple[float, float] | None:
     return (args.t_lo, args.t_hi)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+@contextlib.contextmanager
+def _output(path):
+    """The file at path opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as f:
+        yield f
 
 
 def _cmd_simulate(args) -> int:
@@ -110,9 +121,7 @@ def _cmd_simulate(args) -> int:
     fit = fit_inv_dw(extrapolation_points(series), _window_from(args))
     if args.series_out:
         with open(args.series_out, "w", newline="") as f:
-            f.write("epsilon,W,model,instance,t,sigma\n")
-            for t, s in zip(series.t, series.sigma):
-                f.write(f"{_fmt(epsilon)},{_fmt(W)},{model},0,{int(t)},{_fmt(s)}\n")
+            write_samples(f, [InstanceRecord(epsilon=epsilon, W=W, instance=0, series=series)])
     print(f"epsilon={_fmt(epsilon)}")
     print(f"W={_fmt(W)}")
     print(f"model={model}")
@@ -166,37 +175,27 @@ def _cmd_fit(args) -> int:
     results_dir = Path(args.results_dir)
     samples = results_dir / "samples.csv"
     manifest_path = results_dir / "manifest.json"
-    base_seed = 0
-    window = None
+    if not samples.exists():
+        raise ValueError(f"no samples.csv archive in {results_dir}")
+    if not manifest_path.exists():
+        raise ValueError(
+            f"no manifest.json in {results_dir}: the base seed, fit window and "
+            "threshold of the sweep are unknown"
+        )
+    with open(manifest_path) as f:
+        plan = json.load(f).get("plan", {})
+    base_seed = plan.get("base_seed", 0)
+    window = tuple(plan["fit_window"]) if plan.get("fit_window") else None
     threshold = args.threshold
-    if manifest_path.exists():
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        plan = manifest.get("plan", {})
-        base_seed = plan.get("base_seed", 0)
-        if plan.get("fit_window"):
-            window = tuple(plan["fit_window"])
-        if threshold is None:
-            threshold = plan.get("threshold", DEFAULT_THRESHOLD)
     if threshold is None:
-        threshold = DEFAULT_THRESHOLD
+        threshold = plan.get("threshold", DEFAULT_THRESHOLD)
     override = _window_from(args)
     if override is not None:
         window = override
     archive = read_samples_csv(samples, base_seed=base_seed)
     cells = cells_from_archive(archive, window, threshold)
-    lines = ["epsilon,W,mean_inv_dw,stderr,classification,n_instances"]
-    lines += [
-        f"{_fmt(c.epsilon)},{_fmt(c.W)},{_fmt(c.mean_inv_dw)},"
-        f"{_fmt(c.stderr)},{c.classification},{c.n_instances}"
-        for c in cells
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as f:
+        write_cells(f, cells)
     return 0
 
 
@@ -233,12 +232,8 @@ def _cmd_rg(args) -> int:
         vals = [right[0], right[1], left[0], left[1]]
         flat = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in vals)
         lines.append(f"{_fmt(re_)},{_fmt(im_)},ok,{flat}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as f:
+        f.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -15,7 +15,6 @@ is bit-reproducible from (epsilon, model, W, seed, half_width) alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,27 +26,17 @@ DISORDER_MODELS = ("none", "hierarchical", "extensive")
 
 _MASK64 = (1 << 64) - 1
 
-
-@dataclass(frozen=True)
-class CoinParams:
-    """Angles (theta, chi, vartheta) parameterizing a general 2x2 unitary coin."""
-
-    theta: float
-    chi: float = 0.0
-    vartheta: float = 0.0
+CONFIG_KEYS = frozenset({"epsilon", "disorder_model", "W", "seed", "half_width"})
 
 
-def build_coin(p: CoinParams) -> np.ndarray:
-    """2x2 unitary coin matrix for the given angles.
+def build_coin(theta: float) -> np.ndarray:
+    """2x2 unitary coin [[sin, cos], [cos, -sin]] of angle theta.
 
-    Component order is (right-mover, left-mover). theta = pi/4 with zero phases
-    is the Hadamard coin; theta -> 0 is a perfect reflector that swaps the two
-    mover components.
+    Component order is (right-mover, left-mover). theta = pi/4 is the Hadamard
+    coin; theta -> 0 is a perfect reflector that swaps the two mover components.
     """
-    s, c = math.sin(p.theta), math.cos(p.theta)
-    ec = cmath.exp(1j * p.chi)
-    ev = cmath.exp(1j * p.vartheta)
-    return np.array([[s, ec * c], [ev * c, -ec * ev * s]], dtype=complex)
+    s, c = math.sin(theta), math.cos(theta)
+    return np.array([[s, c], [c, -s]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -161,10 +150,10 @@ class CoinField:
         """2x2 coin matrix at site x; the identity at the origin."""
         if x == 0:
             return np.eye(2, dtype=complex)
-        return build_coin(CoinParams(self.angle(x)))
+        return build_coin(self.angle(x))
 
     def level_coin(self, i: int) -> np.ndarray:
-        return build_coin(CoinParams(self.level_angle(i)))
+        return build_coin(self.level_angle(i))
 
     def angle_table(self) -> np.ndarray:
         """Per-site angles for x = -L..L (index x + L); the origin entry is 0 and unused."""
@@ -219,8 +208,7 @@ def field_from_config(cfg: dict) -> CoinField:
     W (float, radians), seed (u64), half_width (integer power of two). Values may
     be strings, as parsed from a config file.
     """
-    known = {"epsilon", "disorder_model", "W", "seed", "half_width"}
-    unknown = set(cfg) - known
+    unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     try:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coins import CoinField, DisorderSpec, DISORDER_MODELS
+from .coins import _MASK64, CoinField, DisorderSpec, DISORDER_MODELS
 from .observables import (
     DEFAULT_THRESHOLD,
     SigmaSeries,
@@ -33,7 +33,8 @@ WORKERS_ENV = "HIERWALK_WORKERS"
 
 DEFAULT_BUDGET = 10 ** 12  # amplitude updates; one full-scale cell fits comfortably
 
-_MASK64 = (1 << 64) - 1
+CELLS_HEADER = "epsilon,W,mean_inv_dw,stderr,classification,n_instances"
+SAMPLES_HEADER = "epsilon,W,model,instance,t,sigma"
 
 PRESETS = {
     "desk": {"t_max": 2 ** 13, "n_instances": 20},
@@ -87,8 +88,8 @@ class SweepPlan:
         if self.fit_window is not None:
             lo, hi = self.fit_window
             object.__setattr__(self, "fit_window", (float(lo), float(hi)))
-        norm = abs(self.psi_ic[0]) ** 2 + abs(self.psi_ic[1]) ** 2
-        if len(self.psi_ic) != 2 or abs(norm - 1.0) > 1e-9:
+        psi = self.psi_ic
+        if len(psi) != 2 or abs(abs(psi[0]) ** 2 + abs(psi[1]) ** 2 - 1.0) > 1e-9:
             raise ValueError("psi_ic must be a normalized 2-component spinor")
 
     def instance_seed(self, instance: int) -> int:
@@ -192,6 +193,18 @@ def aggregate_cell(
     )
 
 
+def _env_workers() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    message = f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if workers < 1:
+        raise ValueError(message)
+    return workers
+
+
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     """Run every (cell, instance) job of the plan and aggregate per cell.
 
@@ -206,7 +219,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
             f"budget {plan.budget:.3e}; raise the budget to proceed"
         )
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        workers = _env_workers()
     jobs = [
         (e, w, plan.model, plan.instance_seed(m), plan.half_width,
          plan.psi_ic, plan.t_max, plan.sample_times)
@@ -236,6 +249,28 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def write_cells(f, cells) -> None:
+    """Write the cells CSV (header and one row per PhaseCell) to an open text file."""
+    f.write(CELLS_HEADER + "\n")
+    for c in cells:
+        f.write(
+            f"{_fmt(c.epsilon)},{_fmt(c.W)},{_fmt(c.mean_inv_dw)},"
+            f"{_fmt(c.stderr)},{c.classification},{c.n_instances}\n"
+        )
+
+
+def write_samples(f, archive) -> None:
+    """Write the samples CSV (header and one row per sample of each InstanceRecord)."""
+    f.write(SAMPLES_HEADER + "\n")
+    for rec in archive:
+        s = rec.series
+        for t, sig in zip(s.t, s.sigma):
+            f.write(
+                f"{_fmt(rec.epsilon)},{_fmt(rec.W)},{s.model},"
+                f"{rec.instance},{int(t)},{_fmt(sig)}\n"
+            )
 
 
 def _plan_manifest(plan: SweepPlan) -> dict:
@@ -276,24 +311,12 @@ def emit_results(result: SweepResult, out_dir, include_archive: bool = True) -> 
     try:
         cells_path = out / "cells.csv"
         with open(cells_path, "w", newline="") as f:
-            f.write("epsilon,W,mean_inv_dw,stderr,classification,n_instances\n")
-            for c in result.cells:
-                f.write(
-                    f"{_fmt(c.epsilon)},{_fmt(c.W)},{_fmt(c.mean_inv_dw)},"
-                    f"{_fmt(c.stderr)},{c.classification},{c.n_instances}\n"
-                )
+            write_cells(f, result.cells)
         written["cells"] = cells_path
         if include_archive:
             samples_path = out / "samples.csv"
             with open(samples_path, "w", newline="") as f:
-                f.write("epsilon,W,model,instance,t,sigma\n")
-                for rec in result.archive:
-                    s = rec.series
-                    for t, sig in zip(s.t, s.sigma):
-                        f.write(
-                            f"{_fmt(rec.epsilon)},{_fmt(rec.W)},{s.model},"
-                            f"{rec.instance},{int(t)},{_fmt(sig)}\n"
-                        )
+                write_samples(f, result.archive)
             written["samples"] = samples_path
         manifest_path = out / "manifest.json"
         with open(manifest_path, "w", newline="") as f:
@@ -347,18 +370,21 @@ def cells_from_archive(
     fit_window=None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[PhaseCell]:
-    """Re-aggregate phase cells from instance records (e.g. a parsed samples.csv)."""
-    order = []
-    groups = {}
+    """Re-aggregate phase cells from instance records (e.g. a parsed samples.csv).
+
+    A cell whose records come from more than one disorder model is refused.
+    """
+    groups = {}  # insertion order is first-appearance order
     for rec in archive:
-        key = (rec.epsilon, rec.W)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.epsilon, rec.W), []).append(rec)
     cells = []
-    for key in order:
-        recs = sorted(groups[key], key=lambda r: r.instance)
+    for key, recs in groups.items():
+        models = sorted({r.series.model for r in recs})
+        if len(models) > 1:
+            raise ValueError(
+                f"cell (epsilon={key[0]}, W={key[1]}) mixes disorder models {models}"
+            )
+        recs = sorted(recs, key=lambda r: r.instance)
         cells.append(
             aggregate_cell(key[0], key[1], [r.series for r in recs], fit_window, threshold)
         )
@@ -371,26 +397,21 @@ def read_samples_csv(path, base_seed: int = 0) -> tuple:
     Seeds are reconstructed as base_seed + instance; pass the base seed from the
     run manifest to recover the original metadata exactly.
     """
-    rows = {}
-    order = []
+    rows = {}  # insertion order is first-appearance order
     with open(path, newline="") as f:
         header = f.readline().strip()
-        if header != "epsilon,W,model,instance,t,sigma":
+        if header != SAMPLES_HEADER:
             raise ValueError(f"unrecognized samples header in {path}: {header!r}")
         for line in f:
             line = line.strip()
             if not line:
                 continue
             eps_s, w_s, model, inst_s, t_s, sig_s = line.split(",")
-            key = (float(eps_s), float(w_s), model, int(inst_s))
-            if key not in rows:
-                rows[key] = ([], [])
-                order.append(key)
-            rows[key][0].append(int(t_s))
-            rows[key][1].append(float(sig_s))
+            ts, sigs = rows.setdefault((float(eps_s), float(w_s), model, int(inst_s)), ([], []))
+            ts.append(int(t_s))
+            sigs.append(float(sig_s))
     records = []
-    for (eps, w, model, inst) in order:
-        ts, sigs = rows[(eps, w, model, inst)]
+    for (eps, w, model, inst), (ts, sigs) in rows.items():
         series = SigmaSeries(
             t=np.array(ts), sigma=np.array(sigs),
             epsilon=eps, W=w, model=model, seed=(base_seed + inst) & _MASK64,

@@ -135,15 +135,6 @@ def predicted_inv_dw(epsilon: float) -> float:
     return 1.0 / (0.5 + 0.5 * math.log2(1.0 + epsilon ** -2))
 
 
-def quantum_dw_from_classical(classical_dw: float) -> float:
-    """Homogeneous-lattice reference: the quantum walk dimension is half the classical one.
-
-    Reference value only; nothing is claimed for spatially inhomogeneous coins.
-    The classical line walk has d_w = 2, so the quantum counterpart is ballistic.
-    """
-    return classical_dw / 2.0
-
-
 def classify_estimate(inv_dw: float, stderr: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     """Two-sigma decision of an intercept estimate against the localization threshold."""
     if inv_dw + 2.0 * stderr < threshold:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import CoinField
-from .observables import SigmaSeries
+from .observables import SigmaSeries, sigma
 
 DEFAULT_IC = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
 DEFAULT_IC.setflags(write=False)
@@ -47,11 +47,6 @@ class WaveState:
     up: np.ndarray
     down: np.ndarray
 
-    @property
-    def cone(self) -> int:
-        """Upper bound on the occupied |x|; equals t for origin-started states."""
-        return self.t
-
     def occupied_sites(self) -> np.ndarray:
         return -self.t + 2 * np.arange(self.t + 1)
 
@@ -70,34 +65,14 @@ class WaveState:
         return complex(self.up[q]), complex(self.down[q])
 
 
-def init_localized(psi_ic=DEFAULT_IC) -> WaveState:
-    """State concentrated at the origin with the given (normalized) spinor."""
-    psi = _as_spinor(psi_ic)
-    return WaveState(t=0, up=psi[:1].copy(), down=psi[1:].copy())
-
-
-def step(state: WaveState, field: CoinField) -> WaveState:
-    """One coin + shift application. Norm-preserving; the origin coin is the identity."""
-    c = state.t
-    if c + 1 > field.half_width:
-        raise ValueError(
-            f"light cone would reach {c + 1}, beyond the lattice half_width {field.half_width}"
-        )
-    s, co = field.trig_slice(c)
-    u, d = state.up, state.down
-    cu = s * u + co * d
-    cd = co * u - s * d
-    if c % 2 == 0:  # origin occupied only on even cones
-        q0 = c // 2
-        cu[q0] = u[q0]
-        cd[q0] = d[q0]
-    up = np.empty(c + 2, dtype=complex)
-    down = np.empty(c + 2, dtype=complex)
-    up[1:] = cu
-    up[0] = 0.0
-    down[:-1] = cd
-    down[-1] = 0.0
-    return WaveState(t=c + 1, up=up, down=down)
+def _coin(s, co, u, d, cu, cd, tmp) -> None:
+    """(cu, cd) = [[s, co], [co, -s]] (u, d) site by site, into preallocated buffers."""
+    np.multiply(s, u, out=cu)
+    np.multiply(co, d, out=tmp)
+    np.add(cu, tmp, out=cu)
+    np.multiply(co, u, out=cd)
+    np.multiply(s, d, out=tmp)
+    np.subtract(cd, tmp, out=cd)
 
 
 def default_sample_times(t_max: int) -> tuple[int, ...]:
@@ -115,11 +90,17 @@ def default_sample_times(t_max: int) -> tuple[int, ...]:
     return tuple(sorted(times))
 
 
-def _iterate(field: CoinField, psi: np.ndarray, t_max: int):
-    """Yield (t, up, down) views after each step, reusing preallocated buffers.
+def _check_horizon(field: CoinField, t_max: int, t_min: int) -> None:
+    if t_max < t_min:
+        raise ValueError(f"t_max must be >= {t_min}")
+    if t_max > field.half_width:
+        raise ValueError(f"t_max {t_max} exceeds the lattice half_width {field.half_width}")
 
-    The arithmetic matches step() operation for operation, so the two paths
-    produce bit-identical amplitudes.
+
+def _iterate(field: CoinField, psi: np.ndarray, t_max: int):
+    """Yield the WaveState after each of t_max steps from the origin.
+
+    The yielded arrays are views into buffers that the next step overwrites.
     """
     n = t_max + 1
     up = np.zeros(n, dtype=complex)
@@ -127,29 +108,20 @@ def _iterate(field: CoinField, psi: np.ndarray, t_max: int):
     up[0], down[0] = psi[0], psi[1]
     cu = np.empty(n, dtype=complex)
     cd = np.empty(n, dtype=complex)
-    t1 = np.empty(n, dtype=complex)
-    t2 = np.empty(n, dtype=complex)
+    tmp = np.empty(n, dtype=complex)
     for t in range(1, t_max + 1):
-        c = t - 1
-        w = c + 1
+        c = t - 1  # the cone before this step holds t sites
         s, co = field.trig_slice(c)
-        u = up[:w]
-        d = down[:w]
-        np.multiply(s, u, out=t1[:w])
-        np.multiply(co, d, out=t2[:w])
-        np.add(t1[:w], t2[:w], out=cu[:w])
-        np.multiply(co, u, out=t1[:w])
-        np.multiply(s, d, out=t2[:w])
-        np.subtract(t1[:w], t2[:w], out=cd[:w])
-        if c % 2 == 0:
+        _coin(s, co, up[:t], down[:t], cu[:t], cd[:t], tmp[:t])
+        if c % 2 == 0:  # origin occupied only on even cones; its coin is the identity
             q0 = c // 2
-            cu[q0] = u[q0]
-            cd[q0] = d[q0]
-        up[1:w + 1] = cu[:w]
+            cu[q0] = up[q0]
+            cd[q0] = down[q0]
+        up[1:t + 1] = cu[:t]
         up[0] = 0.0
-        down[0:w] = cd[:w]
-        down[w] = 0.0
-        yield t, up[:t + 1], down[:t + 1]
+        down[:t] = cd[:t]
+        down[t] = 0.0
+        yield WaveState(t, up[:t + 1], down[:t + 1])
 
 
 def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
@@ -164,30 +136,18 @@ def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
 
 
 def evolve(field: CoinField, psi_ic, t_max: int, sample_times=None) -> SigmaSeries:
-    """Run t_max steps from a localized start, recording sigma(t) at the sample times.
-
-    sigma is the RMS displacement of the site density, the same quantity
-    observables.sigma computes from a WaveState.
-    """
+    """Run t_max steps from a localized start, recording sigma(t) at the sample times."""
     psi = _as_spinor(psi_ic)
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if t_max > field.half_width:
-        raise ValueError(f"t_max {t_max} exceeds the lattice half_width {field.half_width}")
+    _check_horizon(field, t_max, 1)
     if sample_times is None:
         sample_times = default_sample_times(t_max)
     ts = _validated_sample_times(sample_times, t_max)
     slot = {int(t): k for k, t in enumerate(ts)}
     sigmas = np.empty(ts.size)
-    for t, up, down in _iterate(field, psi, t_max):
-        k = slot.get(t)
-        if k is None:
-            continue
-        x = np.arange(-t, t + 1, 2, dtype=float)
-        rho = np.abs(up) ** 2 + np.abs(down) ** 2
-        mean = float(x @ rho)
-        second = float((x * x) @ rho)
-        sigmas[k] = math.sqrt(max(second - mean * mean, 0.0))
+    for state in _iterate(field, psi, t_max):
+        k = slot.get(state.t)
+        if k is not None:
+            sigmas[k] = sigma(state)
     return SigmaSeries(
         t=ts,
         sigma=sigmas,
@@ -199,17 +159,13 @@ def evolve(field: CoinField, psi_ic, t_max: int, sample_times=None) -> SigmaSeri
 
 
 def evolve_state(field: CoinField, psi_ic, t_max: int) -> WaveState:
-    """Run t_max steps and return the final state (no sampling)."""
+    """Run t_max >= 0 steps from the origin and return the final state (no sampling)."""
     psi = _as_spinor(psi_ic)
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if t_max > field.half_width:
-        raise ValueError(f"t_max {t_max} exceeds the lattice half_width {field.half_width}")
-    if t_max == 0:
-        return init_localized(psi)
-    for t, up, down in _iterate(field, psi, t_max):
+    _check_horizon(field, t_max, 0)
+    state = WaveState(t=0, up=psi[:1].copy(), down=psi[1:].copy())
+    for state in _iterate(field, psi, t_max):
         pass
-    return WaveState(t=t_max, up=up.copy(), down=down.copy())
+    return state  # the exhausted generator no longer writes to its buffers
 
 
 @dataclass(frozen=True)
@@ -247,7 +203,8 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
     """Walk between fully absorbing walls at x = 0 and x = 2^l, started at x = 2^(l-1).
 
     Amplitude arriving at a wall is recorded for that time step and removed, so
-    nothing ever reflects back out of the wall sites.
+    nothing ever reflects back out of the wall sites. The coin update is the
+    light-cone walk's; only the shift differs, between fixed walls.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -267,13 +224,13 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
     down = np.zeros(span + 1, dtype=complex)
     up[span // 2] = psi[0]
     down[span // 2] = psi[1]
+    cu = np.empty(span - 1, dtype=complex)
+    cd = np.empty(span - 1, dtype=complex)
+    tmp = np.empty(span - 1, dtype=complex)
     right = np.zeros((t_max, 2), dtype=complex)
     left = np.zeros((t_max, 2), dtype=complex)
     for t in range(t_max):
-        u = up[1:span]
-        d = down[1:span]
-        cu = s * u + co * d
-        cd = co * u - s * d
+        _coin(s, co, up[1:span], down[1:span], cu, cd, tmp)
         up[2:] = cu
         up[1] = 0.0
         down[:span - 1] = cd

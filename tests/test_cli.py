@@ -79,6 +79,15 @@ def test_config_file_supplies_field(capsys, tmp_path):
     assert float(as_kv(out)["W"]) == 0.0
 
 
+def test_config_file_rejects_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("epsilon = 0.8\nseeed = 7\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--t-max", "64")
+    assert code == 1
+    assert out == ""
+    assert "seeed" in err
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epsilon 0.8\n")
@@ -140,6 +149,21 @@ def test_fit_missing_archive_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", "--results-dir", str(tmp_path))
     assert code == 1
     assert "samples.csv" in err
+
+
+def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--epsilon", "0.9", "--W", "0.3", "--model", "hierarchical",
+        "--instances", "2", "--t-max", "64", "--t-lo", "8", "--t-hi", "64",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    (out_dir / "manifest.json").unlink()
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "manifest.json" in err
 
 
 def test_rg_rows_match_library(capsys, tmp_path):

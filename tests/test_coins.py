@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hierwalk import (
     THETA0,
     CoinField,
-    CoinParams,
     DisorderSpec,
     build_coin,
     draw_base_angles,
@@ -48,31 +47,31 @@ def test_hierarchy_roundtrip_and_oddness(x):
 
 
 def test_build_coin_hadamard():
-    np.testing.assert_allclose(build_coin(CoinParams(THETA0)), HADAMARD, atol=1e-15)
+    np.testing.assert_allclose(build_coin(THETA0), HADAMARD, atol=1e-15)
 
 
 def test_build_coin_full_transmission():
-    c = build_coin(CoinParams(math.pi / 2))
+    c = build_coin(math.pi / 2)
     np.testing.assert_allclose(c, [[1, 0], [0, -1]], atol=1e-15)
 
 
 def test_build_coin_full_reflection():
-    c = build_coin(CoinParams(0.0))
+    c = build_coin(0.0)
     np.testing.assert_allclose(c, [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_build_coin_unitary_bulk():
     rng = np.random.default_rng(1)
     worst = 0.0
-    for theta, chi, vartheta in rng.uniform(-2 * math.pi, 2 * math.pi, (10_000, 3)):
-        c = build_coin(CoinParams(theta, chi, vartheta))
+    for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 10_000):
+        c = build_coin(theta)
         worst = max(worst, np.abs(c.conj().T @ c - np.eye(2)).max())
     assert worst < 1e-12
 
 
-@given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
-def test_build_coin_unitary_property(theta, chi, vartheta):
-    c = build_coin(CoinParams(theta, chi, vartheta))
+@given(st.floats(-10, 10))
+def test_build_coin_unitary_property(theta):
+    c = build_coin(theta)
     assert np.abs(c.conj().T @ c - np.eye(2)).max() < 1e-12
 
 

@@ -55,6 +55,8 @@ def test_plan_validation():
         SweepPlan(**{**FAST_PLAN, "half_width": 2 ** 9})  # smaller than t_max
     with pytest.raises(ValueError):
         SweepPlan(**{**FAST_PLAN, "psi_ic": (1.0, 1.0)})
+    with pytest.raises(ValueError):
+        SweepPlan(**{**FAST_PLAN, "psi_ic": (1,)})
 
 
 def test_plan_instance_seeds_are_offsets():
@@ -108,6 +110,15 @@ def test_worker_count_env_var(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV)
     serial = run_sweep(plan)
     assert pooled.cells == serial.cells
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_worker_count_env_var_rejects_bad_values(monkeypatch, value):
+    from hierwalk.harness import WORKERS_ENV
+
+    monkeypatch.setenv(WORKERS_ENV, value)
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        run_sweep(SweepPlan(**FAST_PLAN))
 
 
 def test_aggregation_matches_direct_recomputation():
@@ -182,6 +193,19 @@ def test_samples_roundtrip_and_refit(tmp_path):
         np.testing.assert_array_equal(parsed.series.sigma, orig.series.sigma)
     cells = cells_from_archive(archive, plan.fit_window, plan.threshold)
     assert tuple(cells) == result.cells  # repr round-trip keeps floats exact
+
+
+def test_cells_from_archive_rejects_mixed_models(tmp_path):
+    path = tmp_path / "samples.csv"
+    rows = ["epsilon,W,model,instance,t,sigma"]
+    for model, instance in (("hierarchical", 0), ("extensive", 1)):
+        rows += [f"0.8,0.5,{model},{instance},{t},{0.5 * t ** 0.5}" for t in (2, 4, 8, 16)]
+    path.write_text("\n".join(rows) + "\n")
+    archive = read_samples_csv(path)
+    with pytest.raises(ValueError, match=r"epsilon=0\.8, W=0\.5.*mixes disorder models"):
+        cells_from_archive(archive)
+    # each model alone still aggregates
+    assert len(cells_from_archive([r for r in archive if r.series.model == "extensive"])) == 1
 
 
 def test_extrapolation_table_synthetic_diffusive(tmp_path):

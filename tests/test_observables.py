@@ -16,11 +16,8 @@ from hierwalk import (
     evolve_state,
     extrapolation_points,
     fit_inv_dw,
-    init_localized,
     predicted_inv_dw,
-    quantum_dw_from_classical,
     sigma,
-    step,
 )
 
 
@@ -47,19 +44,17 @@ def power_law_points(A, inv_d, t_max=2 ** 12):
 
 
 def test_sigma_zero_at_start():
-    assert sigma(init_localized(DEFAULT_IC)) == 0.0
+    assert sigma(evolve_state(CoinField(1.0, DisorderSpec(), 8), DEFAULT_IC, 0)) == 0.0
 
 
 def test_sigma_one_after_one_step():
     f = CoinField(1.0, DisorderSpec(), 8)
-    assert sigma(step(init_localized(DEFAULT_IC), f)) == pytest.approx(1.0, abs=1e-14)
+    assert sigma(evolve_state(f, DEFAULT_IC, 1)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sigma_two_step_right_mover():
     f = CoinField(1.0, DisorderSpec(), 8)
-    state = init_localized(np.array([1.0, 0.0]))
-    for _ in range(2):
-        state = step(state, f)
+    state = evolve_state(f, np.array([1.0, 0.0]), 2)
     # density 1/2 at x=0 and 1/2 at x=2: mean 1, variance 1
     assert sigma(state) == pytest.approx(1.0, abs=1e-14)
 
@@ -200,10 +195,6 @@ def test_predicted_inv_dw_rejects_out_of_range():
     for eps in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             predicted_inv_dw(eps)
-
-
-def test_quantum_dw_reference():
-    assert quantum_dw_from_classical(2.0) == 1.0  # diffusive line walk -> ballistic
 
 
 # --- classification -------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hierwalk import (
     THETA0,
     CoinField,
-    CoinParams,
     DisorderSpec,
     PoleProximalError,
     absorbed_amplitude,
@@ -18,7 +17,7 @@ from hierwalk import (
     rg_step,
 )
 
-HADAMARD = build_coin(CoinParams(THETA0))
+HADAMARD = build_coin(THETA0)
 SYMMETRIC_IC = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
 
 
@@ -50,7 +49,7 @@ def test_rg_step_hadamard_closed_form():
 
 def test_rg_step_transmission_coin_stays_diagonal():
     z = 0.41 - 0.13j
-    coin = build_coin(CoinParams(math.pi / 2))  # [[1, 0], [0, -1]]
+    coin = build_coin(math.pi / 2)  # [[1, 0], [0, -1]]
     tri = rg_init(z)
     for k in range(1, 4):
         tri = rg_step(tri, coin)

@@ -13,8 +13,6 @@ from hierwalk import (
     evolve,
     evolve_absorbing,
     evolve_state,
-    init_localized,
-    step,
 )
 
 RIGHT_IC = np.array([1.0, 0.0])
@@ -53,23 +51,23 @@ def dense_reference_run(field, psi_ic, t_max):
 
 
 def test_init_localized_examples():
-    state = init_localized(RIGHT_IC)
+    state = evolve_state(hadamard_field(), RIGHT_IC, 0)
     assert state.t == 0
     assert state.norm() == pytest.approx(1.0)
     assert state.spinor_at(0) == (1.0 + 0j, 0j)
-    sym = init_localized(DEFAULT_IC)
+    sym = evolve_state(hadamard_field(), DEFAULT_IC, 0)
     assert sym.norm() == pytest.approx(1.0)
 
 
 def test_init_rejects_unnormalized():
     with pytest.raises(ValueError):
-        init_localized(np.array([1.0, 1.0]))
+        evolve_state(hadamard_field(), np.array([1.0, 1.0]), 0)
     with pytest.raises(ValueError):
-        init_localized(np.array([0.5, 0.5]))
+        evolve_state(hadamard_field(), np.array([0.5, 0.5]), 0)
 
 
 def test_one_step_identity_coin_at_origin():
-    state = step(init_localized(DEFAULT_IC), hadamard_field())
+    state = evolve_state(hadamard_field(), DEFAULT_IC, 1)
     assert state.t == 1
     up1, down1 = state.spinor_at(1)
     upm1, downm1 = state.spinor_at(-1)
@@ -80,10 +78,7 @@ def test_one_step_identity_coin_at_origin():
 
 
 def test_two_step_hadamard_by_hand():
-    f = hadamard_field()
-    state = init_localized(RIGHT_IC)
-    for _ in range(2):
-        state = step(state, f)
+    state = evolve_state(hadamard_field(), RIGHT_IC, 2)
     rho = {x: abs(u) ** 2 + abs(d) ** 2
            for x in range(-3, 4)
            for u, d in [state.spinor_at(x)]}
@@ -100,10 +95,8 @@ def test_norm_conserved_1024_steps():
 
 def test_parity_symmetric_density_hadamard():
     f = hadamard_field(128)
-    state = init_localized(DEFAULT_IC)
     for t in range(1, 129):
-        state = step(state, f)
-        rho = state.density()
+        rho = evolve_state(f, DEFAULT_IC, t).density()
         np.testing.assert_allclose(rho, rho[::-1], atol=1e-12)
 
 
@@ -133,23 +126,11 @@ def test_matches_dense_reference():
             assert d == pytest.approx(ref_down.get(x, 0j), abs=1e-13)
 
 
-def test_evolve_bit_identical_to_stepping():
-    f = CoinField(0.8, DisorderSpec(model="hierarchical", W=1.1, seed=5), 200)
-    final = evolve_state(f, DEFAULT_IC, 200)
-    state = init_localized(DEFAULT_IC)
-    for _ in range(200):
-        state = step(state, f)
-    assert np.array_equal(final.up, state.up)
-    assert np.array_equal(final.down, state.down)
-
-
 def test_step_rejects_cone_beyond_lattice():
     f = hadamard_field(4)
-    state = init_localized(DEFAULT_IC)
-    for _ in range(4):
-        state = step(state, f)
+    assert evolve_state(f, DEFAULT_IC, 4).t == 4
     with pytest.raises(ValueError):
-        step(state, f)
+        evolve_state(f, DEFAULT_IC, 5)
 
 
 def test_evolve_rejects_horizon_beyond_lattice():
