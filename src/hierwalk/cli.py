@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coins import CONFIG_KEYS, CoinField, DisorderSpec, DISORDER_MODELS
+from .coins import DISORDER_MODELS, field_from_config, require_power_of_two
 from .harness import (
     DEFAULT_BUDGET,
     PRESETS,
@@ -37,7 +37,7 @@ from .walker import DEFAULT_IC, evolve
 
 
 def parse_config(path: str) -> dict:
-    """Parse a plain-text key=value config file ('#' starts a comment)."""
+    """Parse a plain-text key=value config file ('#' starts a comment; each key at most once)."""
     cfg = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -46,8 +46,10 @@ def parse_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            cfg[key] = value
     return cfg
 
 
@@ -63,32 +65,13 @@ def _parse_psi_ic(text: str | None) -> np.ndarray:
         raise ValueError(f"cannot parse --psi-ic {text!r}: {exc}") from exc
 
 
-def _field_args(args, default_model: str = "none") -> tuple[float, str, float, int, int | None]:
-    """Resolve (epsilon, model, W, seed, half_width) from config then flags."""
-    cfg = parse_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(cfg) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-
-    def pick(flag, key, convert, default):
-        if flag is not None:
-            return flag
-        return convert(cfg[key]) if key in cfg else default
-
-    epsilon = pick(args.epsilon, "epsilon", float, None)
-    if epsilon is None:
-        raise ValueError("epsilon is required (flag --epsilon or config key 'epsilon')")
-    model = pick(args.model, "disorder_model", str, default_model)
-    W = pick(args.W, "W", float, 0.0)
-    seed = pick(args.seed, "seed", int, 0)
-    half_width = pick(getattr(args, "half_width", None), "half_width", int, None)
-    return float(epsilon), model, float(W), int(seed), half_width
-
-
-def _require_power_of_two(name: str, value: int) -> int:
-    if value < 1 or value & (value - 1):
-        raise ValueError(f"{name} must be a positive power of two, got {value}")
-    return value
+def _field_config(args, **defaults) -> dict:
+    """Field config: the --config file, then the flags given on top, then the command's defaults."""
+    cfg = parse_config(args.config) if args.config else {}
+    flags = {"epsilon": args.epsilon, "disorder_model": args.model, "W": args.W,
+             "seed": args.seed, "half_width": args.half_width}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    return {**defaults, **cfg}
 
 
 def _window_from(args) -> tuple[float, float] | None:
@@ -110,22 +93,18 @@ def _output(path):
 
 
 def _cmd_simulate(args) -> int:
-    epsilon, model, W, seed, half_width = _field_args(args)
-    t_max = _require_power_of_two("--t-max", args.t_max)
-    if half_width is None:
-        half_width = t_max
-    _require_power_of_two("half_width", half_width)
-    field = CoinField(epsilon, DisorderSpec(model=model, W=W, seed=seed), half_width)
+    t_max = require_power_of_two("--t-max", args.t_max)
+    field = field_from_config(_field_config(args, half_width=t_max))
     psi = _parse_psi_ic(args.psi_ic)
     series = evolve(field, psi, t_max)
     fit = fit_inv_dw(extrapolation_points(series), _window_from(args))
     if args.series_out:
         with open(args.series_out, "w", newline="") as f:
-            write_samples(f, [InstanceRecord(epsilon=epsilon, W=W, instance=0, series=series)])
-    print(f"epsilon={_fmt(epsilon)}")
-    print(f"W={_fmt(W)}")
-    print(f"model={model}")
-    print(f"seed={seed}")
+            write_samples(f, [InstanceRecord(field.epsilon, field.disorder.W, 0, series)])
+    print(f"epsilon={_fmt(field.epsilon)}")
+    print(f"W={_fmt(field.disorder.W)}")
+    print(f"model={field.disorder.model}")
+    print(f"seed={field.disorder.seed}")
     print(f"t_max={t_max}")
     print(f"inv_dw={_fmt(fit.inv_dw)}")
     print(f"log_amplitude={_fmt(fit.log_amplitude)}")
@@ -156,14 +135,19 @@ def _cmd_sweep(args) -> int:
         threshold=args.threshold,
         budget=args.budget,
     )
-    result = run_sweep(plan)
-    written = emit_results(result, args.out_dir, include_archive=not args.no_archive)
+    tables = []  # every --extrapolation cell is checked before the sweep runs
     for cell_spec in args.extrapolation or []:
         parts = cell_spec.split(",")
         if len(parts) != 2:
             raise ValueError(f"--extrapolation expects 'epsilon,W', got {cell_spec!r}")
         eps, w = float(parts[0]), float(parts[1])
-        path = Path(args.out_dir) / f"extrapolation_{parts[0].strip()}_{parts[1].strip()}.csv"
+        if eps not in plan.epsilon_values or w not in plan.W_values:
+            raise ValueError(f"--extrapolation {cell_spec!r} is not a cell of the sweep grid")
+        tables.append((eps, w, f"extrapolation_{parts[0].strip()}_{parts[1].strip()}.csv"))
+    result = run_sweep(plan)
+    written = emit_results(result, args.out_dir, include_archive=not args.no_archive)
+    for eps, w, name in tables:
+        path = Path(args.out_dir) / name
         emit_extrapolation_table(result, eps, w, path)
         written[f"extrapolation {eps},{w}"] = path
     for kind, path in written.items():
@@ -209,13 +193,10 @@ def _cmd_rg(args) -> int:
     if not z_im:
         z_im = [0.0] * len(z_re)
     # W = 0 reduces the hierarchical draw to the clean hierarchy exactly
-    epsilon, model, W, seed, half_width = _field_args(args, default_model="hierarchical")
-    if model == "extensive":
+    cfg = _field_config(args, disorder_model="hierarchical", half_width=1 << args.l)
+    if cfg["disorder_model"] == "extensive":  # refused before its 2L+1 site angles are drawn
         raise ValueError("the recursion needs shared per-level coins; use model none or hierarchical")
-    if half_width is None:
-        half_width = 1 << args.l
-    _require_power_of_two("half_width", half_width)
-    field = CoinField(epsilon, DisorderSpec(model=model, W=W, seed=seed), half_width)
+    field = field_from_config(cfg)
     psi = _parse_psi_ic(args.psi_ic)
     header = (
         "z_re,z_im,status,right_up_re,right_up_im,right_down_re,right_down_im,"
@@ -245,15 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hierwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_flags(p, with_half_width=True):
+    def add_field_flags(p):
         p.add_argument("--epsilon", type=float, default=None, help="barrier strength in (0, 1]")
         p.add_argument("--model", choices=DISORDER_MODELS, default=None,
                        help="disorder model (default none)")
         p.add_argument("--W", type=float, default=None, help="disorder half-width in radians")
         p.add_argument("--seed", type=int, default=None, help="64-bit disorder seed")
-        if with_half_width:
-            p.add_argument("--half-width", type=int, default=None,
-                           help="lattice half-extent (power of two; default t_max)")
+        p.add_argument("--half-width", type=int, default=None,
+                       help="lattice half-extent (power of two; default t_max, or 2^l for rg)")
         p.add_argument("--config", default=None,
                        help="key=value config file (epsilon, disorder_model, W, seed, half_width)")
         p.add_argument("--psi-ic", default=None,

@@ -29,6 +29,20 @@ _MASK64 = (1 << 64) - 1
 CONFIG_KEYS = frozenset({"epsilon", "disorder_model", "W", "seed", "half_width"})
 
 
+def require_epsilon(epsilon: float) -> float:
+    """epsilon as a float, refused outside the barrier range (0, 1]."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return float(epsilon)
+
+
+def require_power_of_two(name: str, value: int) -> int:
+    """value, refused unless it is a positive integer power of two."""
+    if value < 1 or value & (value - 1):
+        raise ValueError(f"{name} must be a positive power of two, got {value}")
+    return value
+
+
 def build_coin(theta: float) -> np.ndarray:
     """2x2 unitary coin [[sin, cos], [cos, -sin]] of angle theta.
 
@@ -105,11 +119,9 @@ class CoinField:
     """
 
     def __init__(self, epsilon: float, disorder: DisorderSpec, half_width: int):
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        self.epsilon = require_epsilon(epsilon)
         if half_width < 1:
             raise ValueError(f"half_width must be >= 1, got {half_width}")
-        self.epsilon = float(epsilon)
         self.disorder = disorder
         self.half_width = int(half_width)
         self.n_levels = self.half_width.bit_length()  # floor(log2 L) + 1
@@ -211,14 +223,16 @@ def field_from_config(cfg: dict) -> CoinField:
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        epsilon = float(cfg["epsilon"])
-        model = str(cfg.get("disorder_model", "none"))
-        W = float(cfg.get("W", 0.0))
-        seed = int(cfg.get("seed", 0))
-        half_width = int(cfg["half_width"])
-    except KeyError as exc:
-        raise ValueError(f"missing config key: {exc.args[0]}") from exc
-    if half_width < 1 or half_width & (half_width - 1):
-        raise ValueError(f"half_width must be a power of two, got {half_width}")
-    return CoinField(epsilon, DisorderSpec(model=model, W=W, seed=seed), half_width)
+
+    def value(key, convert, default=None):
+        if key not in cfg and default is None:
+            raise ValueError(f"missing config key: {key}")
+        try:
+            return convert(cfg.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
+
+    epsilon = value("epsilon", float)
+    spec = DisorderSpec(value("disorder_model", str, "none"), value("W", float, 0.0),
+                        value("seed", int, 0))
+    return CoinField(epsilon, spec, require_power_of_two("half_width", value("half_width", int)))

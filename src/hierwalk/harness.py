@@ -13,21 +13,24 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coins import _MASK64, CoinField, DisorderSpec, DISORDER_MODELS
+from .coins import _MASK64, CoinField, DisorderSpec, require_epsilon, require_power_of_two
 from .observables import (
     DEFAULT_THRESHOLD,
     SigmaSeries,
     classify_estimate,
     extrapolation_points,
     fit_inv_dw,
+    select_fit_window,
 )
-from .walker import DEFAULT_IC, default_sample_times, evolve
+from .walker import DEFAULT_IC, _as_spinor, _validated_sample_times, default_sample_times, evolve
 
 WORKERS_ENV = "HIERWALK_WORKERS"
 
@@ -62,35 +65,31 @@ class SweepPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon_values", tuple(float(e) for e in self.epsilon_values))
         object.__setattr__(self, "W_values", tuple(float(w) for w in self.W_values))
-        object.__setattr__(self, "psi_ic", tuple(complex(a) for a in self.psi_ic))
-        if not self.epsilon_values or not self.W_values:
-            raise ValueError("epsilon_values and W_values must be nonempty")
+        object.__setattr__(self, "psi_ic", tuple(complex(a) for a in _as_spinor(self.psi_ic)))
+        for name in ("epsilon_values", "W_values"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be nonempty and free of repeats, got {values}")
         for e in self.epsilon_values:
-            if not 0.0 < e <= 1.0:
-                raise ValueError(f"epsilon must lie in (0, 1], got {e}")
+            require_epsilon(e)
         for w in self.W_values:
-            if not 0.0 <= w <= math.pi:
-                raise ValueError(f"W must lie in [0, pi], got {w}")
-        if self.model not in DISORDER_MODELS:
-            raise ValueError(f"unknown disorder model {self.model!r}")
+            DisorderSpec(self.model, w)
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if self.t_max < 1 or self.t_max & (self.t_max - 1):
-            raise ValueError(f"t_max must be a power of two, got {self.t_max}")
+        require_power_of_two("t_max", self.t_max)
         if self.half_width is None:
             object.__setattr__(self, "half_width", self.t_max)
+        require_power_of_two("half_width", self.half_width)
         if self.t_max > self.half_width:
             raise ValueError(f"t_max {self.t_max} exceeds half_width {self.half_width}")
         if self.sample_times is None:
             object.__setattr__(self, "sample_times", default_sample_times(self.t_max))
-        else:
-            object.__setattr__(self, "sample_times", tuple(int(t) for t in self.sample_times))
+        ts = _validated_sample_times(self.sample_times, self.t_max)
+        object.__setattr__(self, "sample_times", tuple(int(t) for t in ts))
         if self.fit_window is not None:
             lo, hi = self.fit_window
             object.__setattr__(self, "fit_window", (float(lo), float(hi)))
-        psi = self.psi_ic
-        if len(psi) != 2 or abs(abs(psi[0]) ** 2 + abs(psi[1]) ** 2 - 1.0) > 1e-9:
-            raise ValueError("psi_ic must be a normalized 2-component spinor")
+        select_fit_window(ts[ts >= 2], self.fit_window)  # refuse a window the fit cannot use
 
     def instance_seed(self, instance: int) -> int:
         return (self.base_seed + instance) & _MASK64
@@ -139,10 +138,11 @@ class SweepResult:
         return out
 
 
-def _run_instance(job) -> SigmaSeries:
-    epsilon, W, model, seed, half_width, psi_ic, t_max, sample_times = job
-    field = CoinField(epsilon, DisorderSpec(model=model, W=W, seed=seed), half_width)
-    return evolve(field, np.array(psi_ic), t_max, sample_times)
+def _run_instance(plan: SweepPlan, key) -> SigmaSeries:
+    epsilon, W, m = key
+    spec = DisorderSpec(model=plan.model, W=W, seed=plan.instance_seed(m))
+    field = CoinField(epsilon, spec, plan.half_width)
+    return evolve(field, np.array(plan.psi_ic), plan.t_max, plan.sample_times)
 
 
 def aggregate_cell(
@@ -208,6 +208,9 @@ def _env_workers() -> int:
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     """Run every (cell, instance) job of the plan and aggregate per cell.
 
+    Cells come from the instance archive through cells_from_archive, the code
+    `hierwalk fit` runs on a samples.csv, so a refit reproduces them exactly.
+
     Jobs are independent; with workers > 1 (or the HIERWALK_WORKERS environment
     variable) they run in a process pool. Results are merged in (cell, instance)
     order regardless of scheduling, so outputs never depend on the worker count.
@@ -220,31 +223,19 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
         )
     if workers is None:
         workers = _env_workers()
-    jobs = [
-        (e, w, plan.model, plan.instance_seed(m), plan.half_width,
-         plan.psi_ic, plan.t_max, plan.sample_times)
-        for e in plan.epsilon_values
-        for w in plan.W_values
-        for m in range(plan.n_instances)
-    ]
+    keys = list(product(plan.epsilon_values, plan.W_values, range(plan.n_instances)))
+    run = partial(_run_instance, plan)
     if workers > 1:
         with Pool(workers) as pool:
-            series = pool.map(_run_instance, jobs)
+            series = pool.map(run, keys)
     else:
-        series = [_run_instance(j) for j in jobs]
-    cells = []
-    archive = []
-    idx = 0
-    for e in plan.epsilon_values:
-        for w in plan.W_values:
-            chunk = series[idx:idx + plan.n_instances]
-            idx += plan.n_instances
-            cells.append(aggregate_cell(e, w, chunk, plan.fit_window, plan.threshold))
-            archive.extend(
-                InstanceRecord(epsilon=e, W=w, instance=m, series=s)
-                for m, s in enumerate(chunk)
-            )
-    return SweepResult(plan=plan, cells=tuple(cells), archive=tuple(archive))
+        series = [run(key) for key in keys]
+    archive = tuple(
+        InstanceRecord(epsilon=e, W=w, instance=m, series=s)
+        for (e, w, m), s in zip(keys, series)
+    )
+    cells = cells_from_archive(archive, plan.fit_window, plan.threshold)
+    return SweepResult(plan=plan, cells=tuple(cells), archive=archive)
 
 
 def _fmt(x: float) -> str:
@@ -402,14 +393,17 @@ def read_samples_csv(path, base_seed: int = 0) -> tuple:
         header = f.readline().strip()
         if header != SAMPLES_HEADER:
             raise ValueError(f"unrecognized samples header in {path}: {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             line = line.strip()
             if not line:
                 continue
-            eps_s, w_s, model, inst_s, t_s, sig_s = line.split(",")
-            ts, sigs = rows.setdefault((float(eps_s), float(w_s), model, int(inst_s)), ([], []))
-            ts.append(int(t_s))
-            sigs.append(float(sig_s))
+            try:
+                eps_s, w_s, model, inst_s, t_s, sig_s = line.split(",")
+                ts, sigs = rows.setdefault((float(eps_s), float(w_s), model, int(inst_s)), ([], []))
+                ts.append(int(t_s))
+                sigs.append(float(sig_s))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     records = []
     for (eps, w, model, inst), (ts, sigs) in rows.items():
         series = SigmaSeries(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import require_epsilon
+
 LOCALIZED = "localized"
 TRANSPORTING = "transporting"
 INCONCLUSIVE = "inconclusive"
@@ -85,25 +87,33 @@ class FitResult:
     n_points: int
 
 
-def fit_inv_dw(points: np.ndarray, window: tuple[float, float] | None = None) -> FitResult:
-    """Least squares of Y on X over the points whose t lies inside the window.
+def select_fit_window(t: np.ndarray, window: tuple[float, float] | None = None):
+    """The fit window and the mask of the times t inside it, refused below 3 points.
 
     The default window keeps the last four octaves, t in [t_max/16, t_max]:
     the extrapolation law is asymptotic and early times are transient-dominated.
     """
+    t = np.asarray(t, dtype=float)
+    if window is None:
+        t_hi = float(t.max(initial=0.0))
+        window = (t_hi / 16.0, t_hi)
+    lo, hi = float(window[0]), float(window[1])
+    sel = (t >= lo) & (t <= hi)
+    n = int(np.count_nonzero(sel))
+    if n < 3:
+        raise ValueError(f"need at least 3 points in window [{lo}, {hi}], have {n}")
+    return (lo, hi), sel
+
+
+def fit_inv_dw(points: np.ndarray, window: tuple[float, float] | None = None) -> FitResult:
+    """Least squares of Y on X over the points whose t lies in the window (see select_fit_window)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty array of (t, X, Y) rows")
-    if window is None:
-        t_hi = float(pts[:, 0].max())
-        window = (t_hi / 16.0, t_hi)
-    lo, hi = float(window[0]), float(window[1])
-    sel = (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
+    (lo, hi), sel = select_fit_window(pts[:, 0], window)
     X = pts[sel, 1]
     Y = pts[sel, 2]
     n = int(X.size)
-    if n < 3:
-        raise ValueError(f"need at least 3 points in window [{lo}, {hi}], have {n}")
     x_bar = float(X.mean())
     y_bar = float(Y.mean())
     dx = X - x_bar
@@ -130,8 +140,7 @@ def predicted_inv_dw(epsilon: float) -> float:
     1/(1/2 + (1/2) log2(1 + epsilon^-2)): 1 at epsilon = 1 (ballistic), falling
     to 0 as epsilon -> 0.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    epsilon = require_epsilon(epsilon)
     return 1.0 / (0.5 + 0.5 * math.log2(1.0 + epsilon ** -2))
 
 

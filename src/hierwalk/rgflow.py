@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import CoinField
+from .walker import _as_spinor
 
 COND_LIMIT = 1e12
 
@@ -136,9 +137,7 @@ def absorbed_amplitude(
         raise ValueError(
             f"field with half_width {field.half_width} has no level {l - 1} coin"
         )
-    psi = np.asarray(psi_ic, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("psi_ic must be a 2-component spinor")
+    psi = _as_spinor(psi_ic)
     state = rg_init(z)
     for k in range(l - 1):
         state = rg_step(state, field.level_coin(k), cond_limit)

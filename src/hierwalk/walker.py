@@ -217,7 +217,8 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
             f"beyond half_width {field.half_width}"
         )
     psi = _as_spinor(psi_ic)
-    theta = np.array([field.angle(x) for x in range(1, span)])
+    L = field.half_width
+    theta = field.angle_table()[L + 1:L + span]  # interior sites 1..span-1
     s = np.sin(theta)
     co = np.cos(theta)
     up = np.zeros(span + 1, dtype=complex)

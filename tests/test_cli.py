@@ -231,3 +231,85 @@ def test_psi_ic_flag_parsing(capsys):
     )
     assert code == 1
     assert "psi-ic" in err
+
+
+def test_rg_rejects_unnormalized_spinor(capsys):
+    code, out, err = run_cli(
+        capsys, "rg", "--l", "3", "--epsilon", "0.6", "--z-re", "0.3", "--psi-ic", "1,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "normalized" in err
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (("--half-width", "100"), "half_width must be a positive power of two"),
+    (("--epsilon", "0.8"), "epsilon_values must be nonempty and free of repeats"),
+    (("--W", "0.5"), "W_values must be nonempty and free of repeats"),
+])
+def test_sweep_refuses_bad_plan_before_running(capsys, tmp_path, flags, problem):
+    out_dir = tmp_path / "results"
+    code, _, err = run_cli(
+        capsys, "sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+        "--instances", "1", "--t-max", "64", "--out-dir", str(out_dir), *flags,
+    )
+    assert code == 1
+    assert problem in err
+    assert not out_dir.exists()
+
+
+def _refuse_to_run(plan, workers=None):
+    raise AssertionError("the sweep ran before its inputs were checked")
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (("--t-lo", "5000", "--t-hi", "6000"), "need at least 3 points in window [5000.0, 6000.0]"),
+    (("--extrapolation", "0.8"), "--extrapolation expects 'epsilon,W'"),
+    (("--extrapolation", "0.6,0.5"), "'0.6,0.5' is not a cell of the sweep grid"),
+])
+def test_sweep_checks_fit_window_and_tables_before_running(
+    capsys, tmp_path, monkeypatch, flags, problem,
+):
+    monkeypatch.setattr("hierwalk.cli.run_sweep", _refuse_to_run)
+    out_dir = tmp_path / "results"
+    code, _, err = run_cli(
+        capsys, "sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+        "--instances", "4", "--t-max", "8192", "--out-dir", str(out_dir), *flags,
+    )
+    assert code == 1
+    assert problem in err
+    assert not out_dir.exists()
+
+
+def test_config_file_rejects_repeated_key(capsys, tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epsilon = 0.8\nseed = 7\nepsilon = 0.6\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--t-max", "64")
+    assert code == 1
+    assert out == ""
+    assert f"{cfg}:3: repeated key 'epsilon'" in err
+
+
+def test_config_file_names_unconvertible_value(capsys, tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("epsilon = 0.8\nW =\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--t-max", "64")
+    assert code == 1
+    assert "config key W" in err
+
+
+def test_fit_names_file_and_line_of_malformed_row(capsys, tmp_path):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+        "--instances", "1", "--t-max", "64", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    samples = out_dir / "samples.csv"
+    n_lines = len(samples.read_text().splitlines())
+    with open(samples, "a") as f:
+        f.write("0.8,0.5,hier")  # a row cut short mid-write
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert f"samples.csv:{n_lines + 1}: not enough values to unpack (expected 6, got 3)" in err

@@ -208,3 +208,7 @@ def test_field_from_config_rejects_bad_input():
         field_from_config({"epsilon": "0.8", "half_width": "64", "foo": "1"})
     with pytest.raises(ValueError):
         field_from_config({"half_width": "64"})
+    with pytest.raises(ValueError, match="config key W"):
+        field_from_config({"epsilon": "0.8", "W": "", "half_width": "64"})
+    with pytest.raises(ValueError, match="config key seed"):
+        field_from_config({"epsilon": "0.8", "seed": "1.5", "half_width": "64"})

@@ -57,6 +57,14 @@ def test_plan_validation():
         SweepPlan(**{**FAST_PLAN, "psi_ic": (1.0, 1.0)})
     with pytest.raises(ValueError):
         SweepPlan(**{**FAST_PLAN, "psi_ic": (1,)})
+    with pytest.raises(ValueError, match=r"sample_times must lie in \[1, 64\]"):
+        SweepPlan(**{**FAST_PLAN, "t_max": 64, "sample_times": (8, 4096)})
+    with pytest.raises(ValueError, match="power of two"):
+        SweepPlan(**{**FAST_PLAN, "half_width": 2000})
+    with pytest.raises(ValueError, match="epsilon_values must be nonempty and free of repeats"):
+        SweepPlan(**{**FAST_PLAN, "epsilon_values": (0.8, 0.6, 0.8)})
+    with pytest.raises(ValueError, match="W_values must be nonempty and free of repeats"):
+        SweepPlan(**{**FAST_PLAN, "W_values": (0.5, 0.5)})
 
 
 def test_plan_instance_seeds_are_offsets():
@@ -235,8 +243,8 @@ def test_extrapolation_table_rejects_empty(tmp_path):
     series = SigmaSeries(t=np.array([1]), sigma=np.array([1.0]),
                          epsilon=1.0, W=0.0, model="none", seed=0)
     rec = InstanceRecord(epsilon=1.0, W=0.0, instance=0, series=series)
-    plan = SweepPlan(**{**FAST_PLAN, "sample_times": (1,)})
-    result = SweepResult(plan=plan, cells=(), archive=(rec,))
+    # a plan cannot hold this grid (its fit window would be empty); the table reads only the archive
+    result = SweepResult(plan=SweepPlan(**FAST_PLAN), cells=(), archive=(rec,))
     with pytest.raises(ValueError):
         emit_extrapolation_table(result, 1.0, 0.0, tmp_path / "x.csv")
 
@@ -247,3 +255,23 @@ def test_emit_results_unwritable_destination(tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(OSError, match="blocked"):
         emit_results(result, blocker / "out")
+
+
+def test_plan_refuses_fit_window_with_too_few_samples():
+    with pytest.raises(ValueError, match="at least 3 points"):
+        SweepPlan(**{**FAST_PLAN, "t_max": 2 ** 13, "fit_window": (5000, 6000)})
+    with pytest.raises(ValueError, match="at least 3 points"):  # the default window
+        SweepPlan(**{**FAST_PLAN, "t_max": 64, "sample_times": (2, 32, 64)})
+    plan = SweepPlan(**{**FAST_PLAN, "t_max": 64, "sample_times": (1, 2, 4, 8)})
+    assert plan.sample_times == (1, 2, 4, 8)  # window [0.5, 8] holds 2, 4 and 8
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("0.8,0.5,hier", r"not enough values to unpack \(expected 6, got 3\)"),
+    ("0.8,0.5,hierarchical,0,x,1.0", "invalid literal"),
+])
+def test_read_samples_csv_names_malformed_line(tmp_path, row, problem):
+    path = tmp_path / "samples.csv"
+    path.write_text("epsilon,W,model,instance,t,sigma\n0.8,0.5,hierarchical,0,2,1.0\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"samples.csv:3: {problem}"):
+        read_samples_csv(path)

@@ -191,3 +191,9 @@ def test_absorbed_amplitude_rejects_bad_l():
     field = CoinField(1.0, DisorderSpec(), 8)
     with pytest.raises(ValueError):
         absorbed_amplitude(0, field, 0.3, SYMMETRIC_IC)
+
+
+def test_absorbed_amplitude_rejects_unnormalized_spinor():
+    field = CoinField(1.0, DisorderSpec(), 8)
+    with pytest.raises(ValueError, match="normalized"):
+        absorbed_amplitude(2, field, 0.3, np.array([1.0, 1.0]))
