@@ -399,16 +399,20 @@ def read_samples_csv(path, base_seed: int = 0) -> tuple:
                 continue
             try:
                 eps_s, w_s, model, inst_s, t_s, sig_s = line.split(",")
-                ts, sigs = rows.setdefault((float(eps_s), float(w_s), model, int(inst_s)), ([], []))
+                _, ts, sigs = rows.setdefault(
+                    (float(eps_s), float(w_s), model, int(inst_s)), (lineno, [], []))
                 ts.append(int(t_s))
                 sigs.append(float(sig_s))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     records = []
-    for (eps, w, model, inst), (ts, sigs) in rows.items():
-        series = SigmaSeries(
-            t=np.array(ts), sigma=np.array(sigs),
-            epsilon=eps, W=w, model=model, seed=(base_seed + inst) & _MASK64,
-        )
+    for (eps, w, model, inst), (first_line, ts, sigs) in rows.items():
+        try:
+            series = SigmaSeries(
+                t=np.array(ts), sigma=np.array(sigs),
+                epsilon=eps, W=w, model=model, seed=(base_seed + inst) & _MASK64,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{first_line}: {exc}") from exc
         records.append(InstanceRecord(epsilon=eps, W=w, instance=inst, series=series))
     return tuple(records)

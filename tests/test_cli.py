@@ -313,3 +313,20 @@ def test_fit_names_file_and_line_of_malformed_row(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert f"samples.csv:{n_lines + 1}: not enough values to unpack (expected 6, got 3)" in err
+
+
+def test_fit_names_file_and_line_of_record_out_of_time_order(capsys, tmp_path):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+        "--instances", "1", "--t-max", "64", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    samples = out_dir / "samples.csv"
+    header, *rows = samples.read_text().splitlines()
+    with open(samples, "a") as f:
+        f.write("\n".join(rows) + "\n")  # the same run's rows appended a second time
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "samples.csv:2: sample times must be strictly increasing" in err

@@ -9,10 +9,12 @@ from hierwalk import (
     DEFAULT_IC,
     CoinField,
     DisorderSpec,
+    WaveState,
     default_sample_times,
     evolve,
     evolve_absorbing,
     evolve_state,
+    sigma,
 )
 
 RIGHT_IC = np.array([1.0, 0.0])
@@ -124,6 +126,54 @@ def test_matches_dense_reference():
             u, d = state.spinor_at(x)
             assert u == pytest.approx(ref_up.get(x, 0j), abs=1e-13)
             assert d == pytest.approx(ref_down.get(x, 0j), abs=1e-13)
+
+
+def full_cone_reference_states(field, psi_ic, t_max):
+    """Yield (t, up, down) copies after each step, updating every slot of the cone.
+
+    The plain numpy light-cone loop without support trimming: the oracle the
+    kernel must match bit for bit on every nonzero amplitude.
+    """
+    up = np.zeros(t_max + 1, dtype=complex)
+    down = np.zeros(t_max + 1, dtype=complex)
+    up[0], down[0] = psi_ic[0], psi_ic[1]
+    for t in range(1, t_max + 1):
+        c = t - 1
+        s, co = field.trig_slice(c)
+        cu = s * up[:t] + co * down[:t]
+        cd = co * up[:t] - s * down[:t]
+        if c % 2 == 0:
+            cu[c // 2] = up[c // 2]
+            cd[c // 2] = down[c // 2]
+        up[1:t + 1] = cu
+        up[0] = 0.0
+        down[:t] = cd
+        down[t] = 0.0
+        yield t, up[:t + 1].copy(), down[:t + 1].copy()
+
+
+ORACLE_FIELDS = [
+    CoinField(1.0, DisorderSpec(), 2048),
+    CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 2048),
+    CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 2048),
+]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC], ids=["default_ic", "right_ic"])
+def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
+    checked = (31, 32, 33, 1000, 2048)  # around a rescan, between rescans, and the end
+    series = evolve(field, psi_ic, 2048)
+    ref_sigma = {}
+    for t, up, down in full_cone_reference_states(field, psi_ic, 2048):
+        ref_sigma[t] = sigma(WaveState(t, up, down))
+        if t in checked:
+            state = evolve_state(field, psi_ic, t)
+            assert np.all(state.up == up) and np.all(state.down == down)
+    assert all(s == ref_sigma[t] for t, s in zip(series.t, series.sigma))
+    if field.disorder.model == "extensive":  # localized: the cone is largely exact zeros
+        nonzero = np.count_nonzero((state.up != 0) | (state.down != 0))
+        assert nonzero / state.up.size < 0.7
 
 
 def test_step_rejects_cone_beyond_lattice():
