@@ -14,7 +14,6 @@ from .coins import (
     THETA0,
     CoinField,
     DisorderSpec,
-    HierarchyIndex,
     build_coin,
     draw_base_angles,
     field_from_config,
@@ -32,18 +31,15 @@ from .observables import (
 )
 from .walker import (
     DEFAULT_IC,
-    AbsorptionRecord,
     WaveState,
     default_sample_times,
     evolve,
     evolve_absorbing,
     evolve_state,
 )
-from .rgflow import PoleProximalError, RGTriple, absorbed_amplitude, rg_init, rg_step
+from .rgflow import PoleProximalError, absorbed_amplitude
 from .harness import (
-    PRESETS,
     InstanceRecord,
-    PhaseCell,
     SweepPlan,
     SweepResult,
     aggregate_cell,
@@ -59,7 +55,6 @@ __all__ = [
     "THETA0",
     "CoinField",
     "DisorderSpec",
-    "HierarchyIndex",
     "build_coin",
     "draw_base_angles",
     "field_from_config",
@@ -73,20 +68,14 @@ __all__ = [
     "predicted_inv_dw",
     "sigma",
     "DEFAULT_IC",
-    "AbsorptionRecord",
     "WaveState",
     "default_sample_times",
     "evolve",
     "evolve_absorbing",
     "evolve_state",
     "PoleProximalError",
-    "RGTriple",
     "absorbed_amplitude",
-    "rg_init",
-    "rg_step",
-    "PRESETS",
     "InstanceRecord",
-    "PhaseCell",
     "SweepPlan",
     "SweepResult",
     "aggregate_cell",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .harness import (
     cells_from_archive,
     emit_extrapolation_table,
     emit_results,
+    read_manifest,
     read_samples_csv,
     run_sweep,
     write_cells,
@@ -166,16 +166,10 @@ def _cmd_fit(args) -> int:
             f"no manifest.json in {results_dir}: the base seed, fit window and "
             "threshold of the sweep are unknown"
         )
-    with open(manifest_path) as f:
-        plan = json.load(f).get("plan", {})
-    base_seed = plan.get("base_seed", 0)
-    window = tuple(plan["fit_window"]) if plan.get("fit_window") else None
-    threshold = args.threshold
-    if threshold is None:
-        threshold = plan.get("threshold", DEFAULT_THRESHOLD)
-    override = _window_from(args)
-    if override is not None:
-        window = override
+    base_seed, window, threshold = read_manifest(manifest_path)
+    window = _window_from(args) or window
+    if args.threshold is not None:
+        threshold = args.threshold
     archive = read_samples_csv(samples, base_seed=base_seed)
     cells = cells_from_archive(archive, window, threshold)
     with _output(args.out) as f:
@@ -184,6 +178,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_rg(args) -> int:
+    if args.l < 1:
+        raise ValueError(f"--l must be >= 1, got {args.l}")
     z_re = args.z_re or []
     z_im = args.z_im or []
     if not z_re:

@@ -158,15 +158,6 @@ class CoinField:
             base = self._level_base[i]
         return float(base * self._eps_pow[i])
 
-    def coin(self, x: int) -> np.ndarray:
-        """2x2 coin matrix at site x; the identity at the origin."""
-        if x == 0:
-            return np.eye(2, dtype=complex)
-        return build_coin(self.angle(x))
-
-    def level_coin(self, i: int) -> np.ndarray:
-        return build_coin(self.level_angle(i))
-
     def angle_table(self) -> np.ndarray:
         """Per-site angles for x = -L..L (index x + L); the origin entry is 0 and unused."""
         L = self.half_width

@@ -287,6 +287,29 @@ def _plan_manifest(plan: SweepPlan) -> dict:
     }
 
 
+def read_manifest(path) -> tuple:
+    """(base_seed, fit_window, threshold) of a manifest.json; a malformed one is refused by path."""
+    try:
+        with open(path) as f:
+            plan = json.load(f)
+    except ValueError as exc:  # malformed JSON or text
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(plan, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(plan).__name__}")
+    plan = plan.get("plan", {})
+    missing = [f"plan.{key}" for key in ("base_seed", "fit_window", "threshold")
+               if not isinstance(plan, dict) or key not in plan]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    seed, window, threshold = plan["base_seed"], plan["fit_window"], plan["threshold"]
+    window_ok = window is None or (isinstance(window, list) and len(window) == 2
+                                   and all(isinstance(t, (int, float)) for t in window))
+    if not (window_ok and isinstance(seed, int) and isinstance(threshold, (int, float))):
+        raise ValueError(f"{path}: plan needs an integer base_seed, a numeric threshold "
+                         "and a fit_window of null or [t_lo, t_hi]")
+    return seed, None if window is None else tuple(window), threshold
+
+
 def emit_results(result: SweepResult, out_dir, include_archive: bool = True) -> dict:
     """Write cells.csv, manifest.json, and (optionally) the samples.csv archive.
 

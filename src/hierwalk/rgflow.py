@@ -14,6 +14,8 @@ where C_k is the level-k coin (barrier factor and any random level draw
 included). Starting from the bare shifts S_0^A = z diag(1,0), S_0^B = z
 diag(0,1), S_0^M = 0, the triple after l-1 steps gives the wall-absorption
 amplitudes of a walk between fully absorbing walls at 0 and 2^l started midway.
+As S^A and S^B each project onto one mover, a step keeps the form S^A = diag(a, 0),
+S^B = diag(0, b), S^M = [[0, m_ab], [m_ba, 0]], so these four numbers are the state.
 
 Resolvent poles sit on the unit circle in z; near-singular resolvents are
 flagged, never regularized.
@@ -21,7 +23,7 @@ flagged, never regularized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -39,78 +41,36 @@ class PoleProximalError(ArithmeticError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class RGTriple:
-    """Renormalized shift matrices (S^A, S^B, S^M) after k decimation steps at fixed z.
+def _level_coin(field: CoinField, k: int) -> tuple:
+    """Level-k coin C(theta) = [[sin, cos], [cos, -sin]], row by row."""
+    theta = field.level_angle(k)
+    s, c = math.sin(theta), math.cos(theta)
+    return s, c, c, -s
 
-    max_condition tracks the worst resolvent conditioning met along the flow;
-    nan before the first step.
+
+def _resolvent(coin, m_ab: complex, m_ba: complex, cond_limit: float) -> tuple:
+    """Entries (g00, g01, g10, g11) of G = (C^{-1} - S^M)^{-1}.
+
+    `coin` holds C row by row as (c00, c01, c10, c11); S^M = [[0, m_ab], [m_ba, 0]].
     """
-
-    k: int
-    z: complex
-    SA: np.ndarray
-    SB: np.ndarray
-    SM: np.ndarray
-    max_condition: float = float("nan")
-
-
-def rg_init(z: complex) -> RGTriple:
-    """Bare triple at k = 0: z times the two shift projectors, no return term."""
-    z = complex(z)
-    return RGTriple(
-        k=0,
-        z=z,
-        SA=np.array([[z, 0.0], [0.0, 0.0]], dtype=complex),
-        SB=np.array([[0.0, 0.0], [0.0, z]], dtype=complex),
-        SM=np.zeros((2, 2), dtype=complex),
-    )
-
-
-def _adjugate2(m: np.ndarray) -> tuple[np.ndarray, complex]:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-    return adj, complex(det)
-
-
-def _norm1(m: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(m), axis=0)))
-
-
-def _resolvent(coin: np.ndarray, SM: np.ndarray, cond_limit: float) -> tuple[np.ndarray, float]:
-    adj, det = _adjugate2(coin)
+    c00, c01, c10, c11 = coin
+    det = c00 * c11 - c01 * c10
     if det == 0:
         raise PoleProximalError("coin matrix is singular", float("inf"))
-    m = adj / det - SM
-    adj_m, det_m = _adjugate2(m)
+    inv = 1 / det
+    m00, m01, m10, m11 = c11 * inv, -c01 * inv - m_ab, -c10 * inv - m_ba, c00 * inv
+    det_m = m00 * m11 - m01 * m10
     if det_m == 0:
         raise PoleProximalError("resolvent is singular at this z", float("inf"))
-    g = adj_m / det_m
-    cond = _norm1(m) * _norm1(g)
-    if not np.isfinite(cond) or cond > cond_limit:
+    inv = 1 / det_m
+    g00, g01, g10, g11 = m11 * inv, -m01 * inv, -m10 * inv, m00 * inv
+    cond = (max(abs(m00) + abs(m10), abs(m01) + abs(m11))  # 1-norm of M times that of G
+            * max(abs(g00) + abs(g10), abs(g01) + abs(g11)))
+    if not math.isfinite(cond) or cond > cond_limit:
         raise PoleProximalError(
             f"resolvent condition {cond:.3e} exceeds {cond_limit:.1e}; pole-proximal z", cond
         )
-    return g, cond
-
-
-def rg_step(state: RGTriple, coin: np.ndarray, cond_limit: float = COND_LIMIT) -> RGTriple:
-    """Eliminate one hierarchy level; `coin` is the level-k coin C_k."""
-    coin = np.asarray(coin, dtype=complex)
-    if coin.shape != (2, 2):
-        raise ValueError("coin must be a 2x2 matrix")
-    g, cond = _resolvent(coin, state.SM, cond_limit)
-    sa, sb, sm = state.SA, state.SB, state.SM
-    prev = state.max_condition
-    worst = cond if np.isnan(prev) else max(prev, cond)
-    return RGTriple(
-        k=state.k + 1,
-        z=state.z,
-        SA=sa @ g @ sa,
-        SB=sb @ g @ sb,
-        SM=sm + sa @ g @ sb + sb @ g @ sa,
-        max_condition=worst,
-    )
+    return g00, g01, g10, g11
 
 
 def absorbed_amplitude(
@@ -137,9 +97,12 @@ def absorbed_amplitude(
         raise ValueError(
             f"field with half_width {field.half_width} has no level {l - 1} coin"
         )
-    psi = _as_spinor(psi_ic)
-    state = rg_init(z)
+    psi0, psi1 = (complex(v) for v in _as_spinor(psi_ic))
+    a = b = complex(z)
+    m_ab = m_ba = 0j
     for k in range(l - 1):
-        state = rg_step(state, field.level_coin(k), cond_limit)
-    g, _ = _resolvent(field.level_coin(l - 1), state.SM, cond_limit)
-    return state.SA @ g @ psi, state.SB @ g @ psi
+        g00, g01, g10, g11 = _resolvent(_level_coin(field, k), m_ab, m_ba, cond_limit)
+        a, b, m_ab, m_ba = a * g00 * a, b * g11 * b, m_ab + a * g01 * b, m_ba + b * g10 * a
+    g00, g01, g10, g11 = _resolvent(_level_coin(field, l - 1), m_ab, m_ba, cond_limit)
+    return (np.array([a * g00 * psi0 + a * g01 * psi1, 0j]),  # right wall: up only
+            np.array([0j, b * g10 * psi0 + b * g11 * psi1]))  # left wall: down only

@@ -195,9 +195,6 @@ class AbsorptionRecord:
     right: np.ndarray
     left: np.ndarray
 
-    def times(self) -> np.ndarray:
-        return np.arange(1, self.right.shape[0] + 1)
-
     def cumulative_absorbed(self) -> np.ndarray:
         """Total probability absorbed by each time; nondecreasing and <= 1."""
         per_t = np.sum(np.abs(self.right) ** 2 + np.abs(self.left) ** 2, axis=1)

@@ -166,6 +166,37 @@ def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
     assert "manifest.json" in err
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("{}", "missing plan.base_seed, plan.fit_window, plan.threshold"),
+    ('{"plan": {"base_seed": 0, "threshold": 0.1}}', "missing plan.fit_window"),
+    ('{"plan": {"base_s', "not valid JSON"),
+    ("[1,2]", "expected a JSON object, got list"),
+    ('{"plan": {"base_seed": "7", "fit_window": null, "threshold": 0.1}}',
+     "plan needs an integer base_seed"),
+])
+def test_fit_refuses_bad_manifest(capsys, tmp_path, text, problem):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--epsilon", "0.9", "--W", "0.3", "--model", "hierarchical",
+        "--instances", "2", "--t-max", "64", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(text)
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert f"{manifest}: {problem}" in err
+
+
+@pytest.mark.parametrize("l", ["-1", "0"])
+def test_rg_refuses_l_below_one(capsys, l):
+    code, out, err = run_cli(capsys, "rg", "--l", l, "--epsilon", "0.7", "--z-re", "0.3")
+    assert code == 1
+    assert out == ""
+    assert f"--l must be >= 1, got {l}" in err
+
+
 def test_rg_rows_match_library(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "rg", "--l", "2", "--epsilon", "0.7", "--W", "0.4", "--seed", "11",

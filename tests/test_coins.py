@@ -116,7 +116,7 @@ def test_epsilon_one_is_hadamard_everywhere():
     f = CoinField(1.0, DisorderSpec(), 64)
     for x in (-64, -5, -1, 1, 2, 12, 64):
         assert f.angle(x) == THETA0
-        np.testing.assert_allclose(f.coin(x), HADAMARD, atol=1e-15)
+        np.testing.assert_allclose(build_coin(f.angle(x)), HADAMARD, atol=1e-15)
 
 
 def test_hierarchical_level_draw_shared_across_signs():
@@ -144,8 +144,7 @@ def test_angle_table_matches_scalar_path():
 
 def test_origin_is_identity():
     f = CoinField(0.5, DisorderSpec(), 16)
-    np.testing.assert_array_equal(f.coin(0), np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity coin"):
         f.angle(0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierwalk import (
+    DEFAULT_IC,
     THETA0,
     CoinField,
     DisorderSpec,
@@ -13,89 +14,187 @@ from hierwalk import (
     absorbed_amplitude,
     build_coin,
     evolve_absorbing,
-    rg_init,
-    rg_step,
 )
+from hierwalk.rgflow import COND_LIMIT, _resolvent
 
 HADAMARD = build_coin(THETA0)
 SYMMETRIC_IC = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
+UP_IC = np.array([1.0, 0.0])
+
+
+# Oracle: the recursion on the full 2x2 matrices (S^A, S^B, S^M), with no
+# assumption about which of their entries stay zero.
+def _adjugate2(m):
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex), complex(det)
+
+
+def _norm1(m):
+    return float(np.max(np.sum(np.abs(m), axis=0)))
+
+
+def _matrix_resolvent(coin, sm, cond_limit):
+    adj, det = _adjugate2(coin)
+    if det == 0:
+        raise PoleProximalError("coin matrix is singular", float("inf"))
+    m = adj / det - sm
+    adj_m, det_m = _adjugate2(m)
+    if det_m == 0:
+        raise PoleProximalError("resolvent is singular at this z", float("inf"))
+    g = adj_m / det_m
+    cond = _norm1(m) * _norm1(g)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise PoleProximalError("pole-proximal z", cond)
+    return g
+
+
+def matrix_amplitude(l, field, z, psi, cond_limit=COND_LIMIT):
+    sa = np.array([[z, 0], [0, 0]], dtype=complex)
+    sb = np.array([[0, 0], [0, z]], dtype=complex)
+    sm = np.zeros((2, 2), dtype=complex)
+    for k in range(l - 1):
+        g = _matrix_resolvent(build_coin(field.level_angle(k)), sm, cond_limit)
+        sa, sb, sm = sa @ g @ sa, sb @ g @ sb, sm + sa @ g @ sb + sb @ g @ sa
+    g = _matrix_resolvent(build_coin(field.level_angle(l - 1)), sm, cond_limit)
+    return sa @ g @ psi, sb @ g @ psi
+
+
+class UniformLevels:
+    """Stand-in field whose every level carries one angle, including angles no CoinField draws."""
+
+    def __init__(self, theta, n_levels):
+        self.theta = theta
+        self.n_levels = n_levels
+        self.half_width = 2 ** (n_levels - 1)
+
+    def level_angle(self, k):
+        return self.theta
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PoleProximalError as err:
+        return err
+
+
+def test_matches_matrix_recursion_on_random_fields():
+    rng = np.random.default_rng(12345)
+    poles = 0
+    for _ in range(400):
+        l = int(rng.integers(1, 13))
+        field = CoinField(
+            float(rng.uniform(0.05, 1.0)),
+            DisorderSpec(model="hierarchical", W=float(rng.uniform(0.0, math.pi)),
+                         seed=int(rng.integers(0, 2 ** 63))),
+            2 ** l,
+        )
+        z = complex(*rng.uniform(-0.9, 0.9, 2))
+        if abs(z) > 0.9:
+            z *= 0.9 / abs(z)
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        cond_limit = float(rng.choice([COND_LIMIT, 2.1]))  # typical worst conditions are 1.1-2.6
+        got = _outcome(absorbed_amplitude, l, field, z, psi, cond_limit)
+        want = _outcome(matrix_amplitude, l, field, z, psi, cond_limit)
+        if isinstance(want, PoleProximalError):
+            poles += 1
+            assert isinstance(got, PoleProximalError)
+            assert got.condition == pytest.approx(want.condition, rel=1e-9)
+            continue
+        assert not isinstance(got, PoleProximalError), got
+        for rg, oracle in zip(got, want):
+            np.testing.assert_allclose(rg, oracle, rtol=1e-12, atol=0)
+            assert np.count_nonzero(rg) <= 1  # right holds only up, left only down
+    assert 0 < poles < 400  # both outcomes exercised
+
+
+def test_resolvent_matches_matrix_resolvent():
+    # general coins: a level coin is symmetric, which keeps m_ab == m_ba in the recursion
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        coin = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m_ab, m_ba = rng.normal(size=2) + 1j * rng.normal(size=2)
+        sm = np.array([[0, m_ab], [m_ba, 0]])
+        got = _resolvent(tuple(coin.ravel()), m_ab, m_ba, COND_LIMIT)
+        want = _matrix_resolvent(coin, sm, COND_LIMIT)
+        np.testing.assert_allclose(got, want.ravel(), rtol=1e-12, atol=0)
 
 
 def test_rg_init_examples():
-    tri = rg_init(1.0)
-    np.testing.assert_array_equal(tri.SA, np.diag([1.0, 0.0]).astype(complex))
-    np.testing.assert_array_equal(tri.SB, np.diag([0.0, 1.0]).astype(complex))
-    np.testing.assert_array_equal(tri.SM, np.zeros((2, 2)))
-    assert tri.k == 0
-
-    zero = rg_init(0.0)
-    assert np.all(zero.SA == 0) and np.all(zero.SB == 0) and np.all(zero.SM == 0)
-
-    tri_i = rg_init(0.5j)
-    assert tri_i.SA[0, 0] == 0.5j
-    assert tri_i.SB[1, 1] == 0.5j
+    # l = 1 runs no step: the bare shifts z diag(1,0), z diag(0,1) close on C_0
+    field = CoinField(1.0, DisorderSpec(), 2)
+    coined = HADAMARD @ SYMMETRIC_IC
+    for z in (1.0, 0.5j, 0.0):
+        right, left = absorbed_amplitude(1, field, z, SYMMETRIC_IC)
+        np.testing.assert_allclose(right, [z * coined[0], 0], atol=1e-15)
+        np.testing.assert_allclose(left, [0, z * coined[1]], atol=1e-15)
+        assert right[1] == 0 and left[0] == 0
 
 
 def test_rg_step_hadamard_closed_form():
+    # one Hadamard step leaves a = w, b = -w, m_ab = m_ba = w with w = z^2/sqrt 2
     z = 0.3 + 0.2j
-    tri = rg_step(rg_init(z), HADAMARD)
+    field = CoinField(1.0, DisorderSpec(), 4)
     w = z * z / math.sqrt(2)
-    np.testing.assert_allclose(tri.SA, [[w, 0], [0, 0]], atol=1e-15)
-    np.testing.assert_allclose(tri.SB, [[0, 0], [0, -w]], atol=1e-15)
-    np.testing.assert_allclose(tri.SM, [[0, w], [w, 0]], atol=1e-15)
-    assert tri.k == 1
-    assert np.isfinite(tri.max_condition)
+    g = np.linalg.inv(np.linalg.inv(HADAMARD) - np.array([[0, w], [w, 0]]))
+    right, left = absorbed_amplitude(2, field, z, SYMMETRIC_IC)
+    np.testing.assert_allclose(right, [w * (g @ SYMMETRIC_IC)[0], 0], atol=1e-15)
+    np.testing.assert_allclose(left, [0, -w * (g @ SYMMETRIC_IC)[1]], atol=1e-15)
 
 
 def test_rg_step_transmission_coin_stays_diagonal():
     z = 0.41 - 0.13j
-    coin = build_coin(math.pi / 2)  # [[1, 0], [0, -1]]
-    tri = rg_init(z)
-    for k in range(1, 4):
-        tri = rg_step(tri, coin)
-        assert tri.SA[0, 1] == 0 and tri.SA[1, 0] == 0 and np.all(tri.SA[1] == 0)
-        assert tri.SB[0, 1] == 0 and tri.SB[1, 0] == 0 and np.all(tri.SB[0] == 0)
-        np.testing.assert_allclose(tri.SM, np.zeros((2, 2)), atol=1e-15)
-        # free passage: the renormalized hop is just the doubled traversal
-        assert tri.SA[0, 0] == pytest.approx(z ** (2 ** k), abs=1e-14)
+    field = UniformLevels(math.pi / 2, 5)  # coin [[1, 0], [0, -1]]: free passage
+    for l in range(1, 5):
+        right, left = absorbed_amplitude(l, field, z, SYMMETRIC_IC)
+        assert right[1] == 0 and left[0] == 0
+        # the renormalized hop is just the doubled traversal, up to the sign of C = diag(1, -1)
+        assert right[0] == pytest.approx(z ** (2 ** (l - 1)) * SYMMETRIC_IC[0], abs=1e-14)
+        assert abs(left[1]) == pytest.approx(abs(z) ** (2 ** (l - 1)) / math.sqrt(2), abs=1e-14)
 
 
 def test_rg_step_z_zero_stays_zero():
-    tri = rg_init(0.0)
-    for _ in range(5):
-        tri = rg_step(tri, HADAMARD)
-    assert np.all(tri.SA == 0) and np.all(tri.SB == 0) and np.all(tri.SM == 0)
-
-
-def test_rg_step_rejects_bad_coin_shape():
-    with pytest.raises(ValueError):
-        rg_step(rg_init(0.1), np.eye(3))
+    field = CoinField(1.0, DisorderSpec(), 64)
+    for l in range(1, 7):
+        right, left = absorbed_amplitude(l, field, 0.0, SYMMETRIC_IC)
+        assert np.all(right == 0) and np.all(left == 0)
 
 
 def test_rg_step_flags_ill_conditioned_resolvent():
-    tri = rg_init(0.9)
+    coin = tuple(HADAMARD.ravel().real)
     with pytest.raises(PoleProximalError) as err:
-        rg_step(tri, HADAMARD, cond_limit=1.0)
+        _resolvent(coin, 0j, 0j, cond_limit=1.0)
     assert err.value.condition > 1.0
+    with pytest.raises(PoleProximalError):
+        absorbed_amplitude(3, CoinField(1.0, DisorderSpec(), 8), 0.9, SYMMETRIC_IC, cond_limit=1.0)
 
 
 def test_rg_step_flags_singular_coin():
-    with pytest.raises(PoleProximalError):
-        rg_step(rg_init(0.2), np.zeros((2, 2)))
+    with pytest.raises(PoleProximalError, match="coin matrix is singular"):
+        _resolvent((0.0, 0.0, 0.0, 0.0), 0j, 0j, COND_LIMIT)
+    # identity coin with m_ab m_ba = 1: C^{-1} - S^M has determinant 0
+    with pytest.raises(PoleProximalError, match="resolvent is singular"):
+        _resolvent((1.0, 0.0, 0.0, 1.0), 1 + 0j, 1 + 0j, COND_LIMIT)
 
 
 def test_homogeneity_minimal_order_doubles():
-    # entries of S_k^A scale as z^(2^k) at small |z|: each step doubles the
-    # shortest traversal
+    # the right-wall amplitude after k steps scales as z^(2^k) at small |z|:
+    # each step doubles the shortest traversal
     z0 = 1e-2
     lam = 2.0
     field = CoinField(0.7, DisorderSpec(model="hierarchical", W=0.9, seed=21), 16)
-    tri_a, tri_b = rg_init(z0), rg_init(lam * z0)
     for k in range(1, 4):
-        tri_a = rg_step(tri_a, field.level_coin(k - 1))
-        tri_b = rg_step(tri_b, field.level_coin(k - 1))
-        ratio = abs(tri_b.SA[0, 0]) / abs(tri_a.SA[0, 0])
-        assert ratio == pytest.approx(lam ** (2 ** k), rel=1e-2)
+        r_a, _ = absorbed_amplitude(k + 1, field, z0, UP_IC)
+        r_b, _ = absorbed_amplitude(k + 1, field, lam * z0, UP_IC)
+        assert abs(r_b[0]) / abs(r_a[0]) == pytest.approx(lam ** (2 ** k), rel=1e-2)
+
+
+def test_absorbed_amplitude_cost_grows_with_levels_not_sites():
+    # a 2^40 half width must not be tabulated site by site
+    field = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.5, seed=3), 2 ** 40)
+    right, left = absorbed_amplitude(40, field, 0.3 + 0.1j, DEFAULT_IC)
+    assert np.all(np.isfinite(right)) and np.all(np.isfinite(left))
 
 
 def test_absorbed_amplitude_l1_closed_form():
