@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-hi", type=float, default=None)
     p_sweep.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p_sweep.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="refuse plans above this many amplitude updates")
+                         help="refuse plans whose estimate, t_max^2 amplitude updates per "
+                              "instance, exceeds this; that is 2x the cone's slots and more "
+                              "than the kernel's trimmed window updates")
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--no-archive", action="store_true",
                          help="skip the per-sample samples.csv archive")

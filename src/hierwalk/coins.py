@@ -137,6 +137,11 @@ class CoinField:
             self._site_base = None
         self._trig = None
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """theta(x) = theta(-x) at every site: true unless each site has its own base."""
+        return self._site_base is None
+
     def level_angle(self, i: int) -> float:
         """theta_i = base_i * epsilon^i, shared by every site of level i."""
         if self._level_base is None:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_rg_rows_match_library(capsys, tmp_path):
     right, _ = rec.generating_function(complex(0.3, 0.1))
     assert float(cols[3]) == pytest.approx(right[0].real, abs=1e-9)
     assert float(cols[4]) == pytest.approx(right[0].imag, abs=1e-9)
+
+
+def test_rg_reports_pole_proximal_row(capsys):
+    field = field_from_config({"epsilon": "1.0", "half_width": "4"})
+    th0, th1 = field.level_angle(0), field.level_angle(1)
+    # z^2 = e^{-i th1} / cos th0 puts z on a pole of the l = 2 recursion's resolvent
+    pole = cmath.sqrt((math.cos(th1) - 1j * math.sin(th1)) / math.cos(th0))
+    code, out, _ = run_cli(
+        capsys, "rg", "--l", "2", "--epsilon", "1.0", "--model", "none",
+        "--z-re", repr(pole.real), "--z-im", repr(pole.imag), "--z-re", "0.3", "--z-im", "0.0",
+    )
+    assert code == 0
+    header, pole_row, ok_row = out.strip().split("\n")
+    assert pole_row == f"{pole.real!r},{pole.imag!r},pole_proximal,,,,,,,,"
+    assert ok_row.startswith("0.3,0.0,ok,")
+    assert [len(row.split(",")) for row in (header, pole_row, ok_row)] == [11, 11, 11]
 
 
 def test_rg_requires_z(capsys):

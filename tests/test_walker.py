@@ -16,6 +16,7 @@ from hierwalk import (
     evolve_state,
     sigma,
 )
+from hierwalk import walker
 
 RIGHT_IC = np.array([1.0, 0.0])
 
@@ -131,8 +132,8 @@ def test_matches_dense_reference():
 def full_cone_reference_states(field, psi_ic, t_max):
     """Yield (t, up, down) copies after each step, updating every slot of the cone.
 
-    The plain numpy light-cone loop without support trimming: the oracle the
-    kernel must match bit for bit on every nonzero amplitude.
+    The plain complex numpy light-cone loop without any window: the oracle
+    for the real, trimmed kernel (see assert_parts_match_oracle).
     """
     up = np.zeros(t_max + 1, dtype=complex)
     down = np.zeros(t_max + 1, dtype=complex)
@@ -157,23 +158,89 @@ ORACLE_FIELDS = [
     CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 2048),
     CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 2048),
 ]
+MIXED_IC = np.array([0.6, 0.8j])  # Im psi != swap(Re psi): two real walks on any field
+SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # below it a square is subnormal or zero
+
+
+def assert_parts_match_oracle(got, ref):
+    """Exact where the oracle is zero or squares to a normal float; below that, within SQRT_TINY.
+
+    Dropping subnormal edges flips roundings of other tiny amplitudes, and
+    the flips cascade, so only amplitudes whose squares vanish may move.
+    """
+    for g, r in ((got.real, ref.real), (got.imag, ref.imag)):
+        assert np.all(g[r == 0] == 0)
+        big = np.abs(r) >= SQRT_TINY
+        assert np.array_equal(g[big], r[big])
+        assert np.all(np.abs(g[~big] - r[~big]) < SQRT_TINY)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)
-@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC], ids=["default_ic", "right_ic"])
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC, MIXED_IC],
+                         ids=["default_ic", "right_ic", "mixed_ic"])
 def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
-    checked = (31, 32, 33, 1000, 2048)  # around a rescan, between rescans, and the end
+    checked = (1, 2, 31, 32, 33, 1000, 2048)  # first steps, around a rescan, and the end
     series = evolve(field, psi_ic, 2048)
     ref_sigma = {}
     for t, up, down in full_cone_reference_states(field, psi_ic, 2048):
         ref_sigma[t] = sigma(WaveState(t, up, down))
         if t in checked:
             state = evolve_state(field, psi_ic, t)
-            assert np.all(state.up == up) and np.all(state.down == down)
+            assert_parts_match_oracle(state.up, up)
+            assert_parts_match_oracle(state.down, down)
     assert all(s == ref_sigma[t] for t, s in zip(series.t, series.sigma))
     if field.disorder.model == "extensive":  # localized: the cone is largely exact zeros
         nonzero = np.count_nonzero((state.up != 0) | (state.down != 0))
         assert nonzero / state.up.size < 0.7
+
+
+class _TwoWalkField:
+    """A symmetric field that does not say so, which forces the two-walk path."""
+
+    mirror_symmetric = False
+
+    def __init__(self, field):
+        self.trig_slice = field.trig_slice
+
+
+MIRROR_TIMES = (1, 2, 3, 4, 31, 32, 33, 64, 65, 255, 256, 1023, 1024, 1536, 2047, 2048)
+
+
+@pytest.mark.parametrize("eps, model, W", [
+    (1.0, "none", 0.0),
+    (0.6, "none", 0.0),
+    (0.8, "hierarchical", 0.5),
+    (0.6, "hierarchical", 1.0),
+    (0.3, "hierarchical", 3.0),
+    (1.0, "hierarchical", 1.0),
+])
+def test_one_walk_and_its_mirror_equal_two_real_walks(eps, model, W):
+    field = CoinField(eps, DisorderSpec(model=model, W=W, seed=7), 2048)
+    psi = walker._as_spinor(DEFAULT_IC)
+    one = walker._iterate(field, psi, MIRROR_TIMES)
+    two = walker._iterate(_TwoWalkField(field), psi, MIRROR_TIMES)
+    for t, a, b in zip(MIRROR_TIMES, one, two):
+        assert a.t == b.t == t
+        assert np.array_equal(a.up, b.up) and np.array_equal(a.down, b.down)
+
+
+def test_trim_leaves_exact_zeros_beyond_the_window():
+    """The subnormal edges a rescan drops are zeroed, not left behind.
+
+    On the Hadamard walk amplitudes fall below DBL_MIN at the cone edges from
+    t ~ 2000 on. Between rescans the window grows by one slot per step, so the
+    nonzero slots beyond the outermost amplitudes >= DBL_MIN number at most
+    _RESCAN_PERIOD on each side. Odd and even t read different buffers.
+    """
+    field = hadamard_field(4096)
+    for t in (4095, 4096):
+        state = evolve_state(field, DEFAULT_IC, t)
+        parts = np.stack([state.up.real, state.up.imag, state.down.real, state.down.imag])
+        nonzero = np.flatnonzero(np.any(parts != 0, axis=0))
+        normal = np.flatnonzero(np.any(np.abs(parts) >= np.finfo(float).tiny, axis=0))
+        assert nonzero[0] > 0 and nonzero[-1] < t  # the trim has dropped edge slots
+        assert normal[0] - nonzero[0] <= walker._RESCAN_PERIOD
+        assert nonzero[-1] - normal[-1] <= walker._RESCAN_PERIOD
 
 
 def test_step_rejects_cone_beyond_lattice():
