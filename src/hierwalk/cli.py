@@ -29,11 +29,17 @@ from .harness import (
     read_samples_csv,
     run_sweep,
     write_cells,
+    write_csv,
     write_samples,
 )
 from .observables import DEFAULT_THRESHOLD, classify, extrapolation_points, fit_inv_dw
 from .rgflow import PoleProximalError, absorbed_amplitude
 from .walker import DEFAULT_IC, evolve
+
+RG_HEADER = (
+    "z_re,z_im,status,right_up_re,right_up_im,right_down_re,right_down_im,"
+    "left_up_re,left_up_im,left_down_re,left_down_im"
+)
 
 
 def parse_config(path: str) -> dict:
@@ -194,23 +200,16 @@ def _cmd_rg(args) -> int:
         raise ValueError("the recursion needs shared per-level coins; use model none or hierarchical")
     field = field_from_config(cfg)
     psi = _parse_psi_ic(args.psi_ic)
-    header = (
-        "z_re,z_im,status,right_up_re,right_up_im,right_down_re,right_down_im,"
-        "left_up_re,left_up_im,left_down_re,left_down_im"
-    )
-    lines = [header]
+    rows = []  # every z is tried before any output is written
     for re_, im_ in zip(z_re, z_im):
-        z = complex(re_, im_)
         try:
-            right, left = absorbed_amplitude(args.l, field, z, psi)
+            right, left = absorbed_amplitude(args.l, field, complex(re_, im_), psi)
         except PoleProximalError:
-            lines.append(f"{_fmt(re_)},{_fmt(im_)},pole_proximal,,,,,,,,")
+            rows.append((re_, im_, "pole_proximal", *[""] * 8))
             continue
-        vals = [right[0], right[1], left[0], left[1]]
-        flat = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in vals)
-        lines.append(f"{_fmt(re_)},{_fmt(im_)},ok,{flat}")
+        rows.append((re_, im_, "ok", *(part for v in (*right, *left) for part in (v.real, v.imag))))
     with _output(args.out) as f:
-        f.write("\n".join(lines) + "\n")
+        write_csv(f, RG_HEADER, rows)
     return 0
 
 

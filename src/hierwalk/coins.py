@@ -178,35 +178,21 @@ class CoinField:
         tab[L] = 0.0
         return tab
 
-    def _trig_tables(self):
-        # Parity-split sin/cos caches; computed once, read-only afterwards.
-        if self._trig is None:
-            tab = self.angle_table()
-            L = self.half_width
-            x0_even = -L if L % 2 == 0 else -L + 1
-            x0_odd = -L if L % 2 == 1 else -L + 1
-            even = tab[(x0_even + L)::2]
-            odd = tab[(x0_odd + L)::2]
-            self._trig = (
-                np.sin(even), np.cos(even), x0_even,
-                np.sin(odd), np.cos(odd), x0_odd,
-            )
-        return self._trig
-
     def trig_slice(self, cone: int):
         """(sin, cos) views for the sites -cone..cone in steps of two.
 
         These are the sites sharing the parity of `cone`; they are exactly the
         sites a light cone of that extent can occupy.
         """
-        if not 0 <= cone <= self.half_width:
-            raise ValueError(f"cone {cone} outside [0, {self.half_width}]")
-        s_even, c_even, x0_even, s_odd, c_odd, x0_odd = self._trig_tables()
-        if cone % 2 == 0:
-            q0 = (-cone - x0_even) // 2
-            return s_even[q0:q0 + cone + 1], c_even[q0:q0 + cone + 1]
-        q0 = (-cone - x0_odd) // 2
-        return s_odd[q0:q0 + cone + 1], c_odd[q0:q0 + cone + 1]
+        L = self.half_width
+        if not 0 <= cone <= L:
+            raise ValueError(f"cone {cone} outside [0, {L}]")
+        if self._trig is None:  # per cone parity, built once: site x sits at index (x + L) // 2
+            tab = self.angle_table()
+            self._trig = tuple((np.sin(t), np.cos(t)) for t in (tab[L % 2::2], tab[1 - L % 2::2]))
+        s, c = self._trig[cone % 2]
+        q0 = (L - cone) // 2
+        return s[q0:q0 + cone + 1], c[q0:q0 + cone + 1]
 
 
 def field_from_config(cfg: dict) -> CoinField:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 from itertools import product
 from multiprocessing import Pool
@@ -38,6 +38,7 @@ DEFAULT_BUDGET = 10 ** 12  # amplitude updates; one full-scale cell fits comfort
 
 CELLS_HEADER = "epsilon,W,mean_inv_dw,stderr,classification,n_instances"
 SAMPLES_HEADER = "epsilon,W,model,instance,t,sigma"
+EXTRAPOLATION_HEADER = "t,X,Y,Y_stderr,sigma_mean,sigma_stderr"
 
 PRESETS = {
     "desk": {"t_max": 2 ** 13, "n_instances": 20},
@@ -166,14 +167,7 @@ def aggregate_cell(
             raise ValueError("instances of one cell must share the sample grid")
     stack = np.vstack([s.sigma for s in series_list])  # instance-index order
     mean_sigma = stack.mean(axis=0)
-    averaged = SigmaSeries(
-        t=grid.copy(),
-        sigma=mean_sigma,
-        epsilon=epsilon,
-        W=W,
-        model=series_list[0].model,
-        seed=series_list[0].seed,
-    )
+    averaged = replace(series_list[0], sigma=mean_sigma)
     fit = fit_inv_dw(extrapolation_points(averaged), fit_window)
     n = len(series_list)
     if n >= 2:
@@ -184,8 +178,8 @@ def aggregate_cell(
     else:
         stderr = fit.stderr
     return PhaseCell(
-        epsilon=epsilon,
-        W=W,
+        epsilon=float(epsilon),
+        W=float(W),
         mean_inv_dw=fit.inv_dw,
         stderr=stderr,
         classification=classify_estimate(fit.inv_dw, stderr, threshold),
@@ -242,26 +236,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_csv(f, header: str, rows) -> None:
+    """Write the header line, then each row's fields joined by commas, to an open text file.
+
+    A float field (numpy's float scalars included) is written with repr, the
+    shortest round-trip form; every other field as str.
+    """
+    f.write(header + "\n")
+    for row in rows:
+        f.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def write_cells(f, cells) -> None:
     """Write the cells CSV (header and one row per PhaseCell) to an open text file."""
-    f.write(CELLS_HEADER + "\n")
-    for c in cells:
-        f.write(
-            f"{_fmt(c.epsilon)},{_fmt(c.W)},{_fmt(c.mean_inv_dw)},"
-            f"{_fmt(c.stderr)},{c.classification},{c.n_instances}\n"
-        )
+    write_csv(f, CELLS_HEADER, (astuple(c) for c in cells))
 
 
 def write_samples(f, archive) -> None:
     """Write the samples CSV (header and one row per sample of each InstanceRecord)."""
-    f.write(SAMPLES_HEADER + "\n")
-    for rec in archive:
-        s = rec.series
-        for t, sig in zip(s.t, s.sigma):
-            f.write(
-                f"{_fmt(rec.epsilon)},{_fmt(rec.W)},{s.model},"
-                f"{rec.instance},{int(t)},{_fmt(sig)}\n"
-            )
+    write_csv(f, SAMPLES_HEADER, (
+        (float(rec.epsilon), float(rec.W), rec.series.model, rec.instance, t, sig)
+        for rec in archive for t, sig in zip(rec.series.t, rec.series.sigma)
+    ))
 
 
 def _plan_manifest(plan: SweepPlan) -> dict:
@@ -270,20 +266,7 @@ def _plan_manifest(plan: SweepPlan) -> dict:
         "version": __version__,
         "generator": "numpy PCG64",
         "seed_rule": "instance seed = (base_seed + instance_index) mod 2^64",
-        "plan": {
-            "epsilon_values": list(plan.epsilon_values),
-            "W_values": list(plan.W_values),
-            "model": plan.model,
-            "n_instances": plan.n_instances,
-            "base_seed": plan.base_seed,
-            "t_max": plan.t_max,
-            "half_width": plan.half_width,
-            "psi_ic": [[a.real, a.imag] for a in plan.psi_ic],
-            "sample_times": list(plan.sample_times),
-            "fit_window": list(plan.fit_window) if plan.fit_window else None,
-            "threshold": plan.threshold,
-            "budget": plan.budget,
-        },
+        "plan": {**asdict(plan), "psi_ic": [[a.real, a.imag] for a in plan.psi_ic]},
     }
 
 
@@ -371,9 +354,8 @@ def emit_extrapolation_table(result: SweepResult, epsilon: float, W: float, out_
     path = Path(out_path)
     try:
         with open(path, "w", newline="") as f:
-            f.write("t,X,Y,Y_stderr,sigma_mean,sigma_stderr\n")
-            for tv, *rest in zip(t, 1.0 / log_t, y, y_se, mean_sigma, s_se):
-                f.write(f"{int(tv)}," + ",".join(_fmt(v) for v in rest) + "\n")
+            write_csv(f, EXTRAPOLATION_HEADER,
+                      zip(grid[keep], 1.0 / log_t, y, y_se, mean_sigma, s_se))
     except OSError as exc:
         raise OSError(f"cannot write extrapolation table {path}: {exc}") from exc
     return path

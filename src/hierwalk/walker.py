@@ -236,7 +236,6 @@ class AbsorptionRecord:
     is absorbed at x = 0 (only its down component can be nonzero).
     """
 
-    l: int
     right: np.ndarray
     left: np.ndarray
 
@@ -247,12 +246,8 @@ class AbsorptionRecord:
 
     def generating_function(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(right, left) wall 2-vectors sum_t psi_t z^t, truncated at the recorded horizon."""
-        right = np.zeros(2, dtype=complex)
-        left = np.zeros(2, dtype=complex)
-        for rt, lt in zip(self.right[::-1], self.left[::-1]):  # Horner in z
-            right = (right + rt) * z
-            left = (left + lt) * z
-        return right, left
+        powers = np.cumprod(np.full(len(self.right), complex(z)))  # z^1 .. z^t_max
+        return powers @ self.right, powers @ self.left
 
 
 def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> AbsorptionRecord:
@@ -296,4 +291,4 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
         up[span] = 0.0
         left[t, 1] = down[0]
         down[0] = 0.0
-    return AbsorptionRecord(l=l, right=right, left=left)
+    return AbsorptionRecord(right=right, left=left)

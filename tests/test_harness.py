@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 
@@ -16,6 +18,7 @@ from hierwalk import (
     read_samples_csv,
     run_sweep,
 )
+from hierwalk.harness import CELLS_HEADER, PhaseCell, write_cells, write_csv, write_samples
 
 FAST_PLAN = dict(
     epsilon_values=(1.0,),
@@ -184,6 +187,37 @@ def test_emit_results_archive_disabled(tmp_path):
     written = emit_results(result, tmp_path / "out", include_archive=False)
     assert set(written) == {"cells", "manifest"}
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+def test_write_csv_writes_numpy_scalars_like_python_ones():
+    f = io.StringIO()
+    write_csv(f, "a,b,c,d,e,f", [(0.1, np.float64(0.1), np.int64(8), 3, "ok", "")])
+    assert f.getvalue() == "a,b,c,d,e,f\n0.1,0.1,8,3,ok,\n"
+
+
+def test_integer_cell_coordinates_are_written_as_floats():
+    series = SigmaSeries(t=np.array([2, 4, 8, 16]), sigma=np.array([1.0, 2.0, 4.0, 8.0]),
+                         epsilon=1, W=0, model="none", seed=0)
+    f = io.StringIO()
+    write_cells(f, [aggregate_cell(1, 0, [series])])
+    write_samples(f, [InstanceRecord(epsilon=1, W=0, instance=0, series=series)])
+    rows = f.getvalue().splitlines()
+    assert rows[1].startswith("1.0,0.0,") and rows[3] == "1.0,0.0,none,0,2,1.0"
+
+
+def test_cells_header_follows_phase_cell_fields():
+    # write_cells writes each PhaseCell's fields in declaration order
+    assert CELLS_HEADER.split(",") == [f.name for f in dataclasses.fields(PhaseCell)]
+
+
+def test_manifest_plan_is_the_sweep_plan(tmp_path):
+    plan = small_disordered_plan(n_instances=1, t_max=2 ** 6, fit_window=(8, 64),
+                                 psi_ic=(0.6, 0.8j))
+    emit_results(run_sweep(plan), tmp_path, include_archive=False)
+    block = json.loads((tmp_path / "manifest.json").read_text())["plan"]
+    assert sorted(block) == sorted(f.name for f in dataclasses.fields(SweepPlan))
+    block["psi_ic"] = [complex(re, im) for re, im in block["psi_ic"]]
+    assert SweepPlan(**block) == plan
 
 
 def test_samples_roundtrip_and_refit(tmp_path):
