@@ -1,0 +1,195 @@
+"""The light-cone walk's time loop in C, built with the system C compiler on first use.
+
+`load()` returns the loop as a ctypes function, or None where it cannot be
+had: no compiler, a compile error, an unwritable cache or a library that will
+not load. Then `walker` steps the same loop in numpy. Nothing here runs at
+import.
+
+The library is cached as ${XDG_CACHE_HOME:-~/.cache}/hierwalk/lightcone-<hash>.so,
+the hash taken over the C source and the compiler flags. It is written to a
+temporary file and renamed into place, so processes that build it at once
+never load a half-written file.
+
+The C follows numpy's operation order in `walker._numpy_steps`: each product
+of the coin is rounded on its own before the sum (-ffp-contract=off forbids
+fused multiply-adds), so every amplitude is bit-identical to the numpy loop,
+signed zeros included. Never build it with -ffast-math: that links code that
+flushes subnormals to zero in the whole process, numpy included.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import struct
+import subprocess
+import tempfile
+from pathlib import Path
+
+_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+static int kept(const double *up, const double *down, int64_t rows, int64_t n,
+                int64_t q, double tiny)
+{
+    for (int64_t r = 0; r < rows; r++)
+        if (fabs(up[r * n + q]) >= tiny || fabs(down[r * n + q]) >= tiny)
+            return 1;
+    return 0;
+}
+
+/* Step rows (1 or 2) real walks from time t0 to t1 >= t0. Each buffer holds
+   the rows one after the other, n slots each; slot q of cone c is site
+   x = -c + 2q. window = [lo, hi) is the slot range outside which every
+   amplitude of up and down is zero; it is read and written back. After an
+   odd number of steps the state is in next_up and next_down. The sin and
+   cos of cone c start at offset (n - 1 - c) / 2 of the tables for cone
+   n - 1 (cone parity equal to that of n - 1) or cone n - 2 (the other). */
+void lightcone_steps(double *restrict up, double *restrict down,
+                     double *restrict next_up, double *restrict next_down,
+                     int64_t rows, int64_t n, int32_t mirror,
+                     const double *sin_a, const double *cos_a,
+                     const double *sin_b, const double *cos_b,
+                     int64_t t0, int64_t t1, int64_t period, double tiny,
+                     int64_t *window)
+{
+    int64_t lo = window[0], hi = window[1];
+    for (int64_t t = t0 + 1; t <= t1; t++) {
+        const int64_t c = t - 1;
+        if (c % period == 0) {
+            int64_t first = lo, last = hi - 1;
+            while (first < hi && !kept(up, down, rows, n, first, tiny))
+                first++;
+            while (last > first && !kept(up, down, rows, n, last, tiny))
+                last--;
+            if (first < hi) {  /* never false: the state keeps its unit norm */
+                int64_t new_lo = first, new_hi = last + 1;
+                if (mirror) {  /* slot q mirrors slot lo + hi - 1 - q */
+                    if (lo + hi - 1 - last < new_lo)
+                        new_lo = lo + hi - 1 - last;
+                    if (lo + hi - first > new_hi)
+                        new_hi = lo + hi - first;
+                }
+                double *bufs[4] = {up, down, next_up, next_down};
+                for (int b = 0; b < 4; b++)
+                    for (int64_t r = 0; r < rows; r++) {
+                        for (int64_t q = lo; q < new_lo; q++)
+                            bufs[b][r * n + q] = 0.0;
+                        for (int64_t q = new_hi; q < hi; q++)
+                            bufs[b][r * n + q] = 0.0;
+                    }
+                lo = new_lo;
+                hi = new_hi;
+            }
+        }
+        const int64_t back = n - 1 - c;
+        const double *s = ((back & 1) ? sin_b : sin_a) + back / 2;
+        const double *co = ((back & 1) ? cos_b : cos_a) + back / 2;
+        const int64_t q0 = c / 2;  /* the origin's slot on even cones: identity coin */
+        for (int64_t r = 0; r < rows; r++) {
+            const double *restrict u = up + r * n, *restrict d = down + r * n;
+            double *restrict nu = next_up + r * n + 1, *restrict nd = next_down + r * n;
+            for (int64_t q = lo; q < hi; q++) {
+                nu[q] = s[q] * u[q] + co[q] * d[q];
+                nd[q] = co[q] * u[q] - s[q] * d[q];
+            }
+            if (c % 2 == 0 && lo <= q0 && q0 < hi) {
+                nu[q0] = u[q0];
+                nd[q0] = d[q0];
+            }
+            next_up[r * n + lo] = 0.0;
+            next_down[r * n + hi] = 0.0;
+        }
+        double *swap = up; up = next_up; next_up = swap;
+        swap = down; down = next_down; next_down = swap;
+        hi += 1;
+    }
+    window[0] = lo;
+    window[1] = hi;
+}
+"""
+
+_CC = "cc"
+# Never -ffast-math (it flushes subnormals process-wide) nor -march=native.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+_P = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, _P, _P, _P, _P,
+             _I64, _I64, _I64, ctypes.c_double, _P)
+
+
+def library_path() -> Path:
+    """Where the library for this source and these flags is cached."""
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    digest = hashlib.sha256("\0".join((_SOURCE, *_FLAGS)).encode()).hexdigest()[:16]
+    return Path(cache) / "hierwalk" / f"lightcone-{digest}.so"
+
+
+def _truncated_elf(path: Path) -> bool:
+    """True if the file is an ELF file that ends before its section headers.
+
+    The linker writes the section headers last, so a truncated library ends
+    before them. Mapping a truncated library can kill the process with
+    SIGBUS when a page beyond the end of the file is touched, so it must
+    never reach dlopen. Any other bad file is refused by dlopen itself.
+    """
+    with open(path, "rb") as f:
+        head = f.read(64)
+        size = os.fstat(f.fileno()).st_size
+    if head[:4] != b"\x7fELF":
+        return False
+    if len(head) < 64:  # shorter than a 64-bit header; any library is far longer
+        return True
+    order = "<" if head[5] == 1 else ">"
+    if head[4] == 2:  # 64-bit: e_shoff at 0x28, e_shentsize and e_shnum at 0x3A
+        (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+        shentsize, shnum = struct.unpack_from(order + "HH", head, 0x3A)
+    else:  # 32-bit: e_shoff at 0x20, e_shentsize and e_shnum at 0x2E
+        (shoff,) = struct.unpack_from(order + "I", head, 0x20)
+        shentsize, shnum = struct.unpack_from(order + "HH", head, 0x2E)
+    return shoff + shentsize * shnum > size
+
+
+def _open(path: Path):
+    if _truncated_elf(path):
+        raise OSError(f"{path}: truncated library")
+    fn = ctypes.CDLL(str(path)).lightcone_steps
+    fn.argtypes = _ARGTYPES
+    fn.restype = None
+    return fn
+
+
+def _build(path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([_CC, *_FLAGS, "-o", tmp, "-x", "c", "-"], input=_SOURCE, text=True,
+                       capture_output=True, check=True, timeout=120)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load():
+    """`lightcone_steps` from the cached library, built first if it is missing or will not load.
+
+    None if it can be neither loaded nor built; the result is kept for the
+    life of the process.
+    """
+    path = library_path()
+    try:
+        return _open(path)
+    except (OSError, AttributeError):  # missing, truncated, not a library or not ours: rebuild
+        pass
+    try:
+        _build(path)
+        return _open(path)
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None

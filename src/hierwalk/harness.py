@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 from itertools import product
@@ -30,7 +31,14 @@ from .observables import (
     fit_inv_dw,
     select_fit_window,
 )
-from .walker import DEFAULT_IC, _as_spinor, _validated_sample_times, default_sample_times, evolve
+from .walker import (
+    DEFAULT_IC,
+    _as_spinor,
+    _validated_sample_times,
+    default_sample_times,
+    evolve,
+    light_cone_kernel,
+)
 
 WORKERS_ENV = "HIERWALK_WORKERS"
 
@@ -267,6 +275,9 @@ def _plan_manifest(plan: SweepPlan) -> dict:
         "generator": "numpy PCG64",
         "seed_rule": "instance seed = (base_seed + instance_index) mod 2^64",
         "plan": {**asdict(plan), "psi_ic": [[a.real, a.imag] for a in plan.psi_ic]},
+        # pool workers load the kernel from the same cache as this process
+        "environment": {"light_cone_kernel": light_cone_kernel(),
+                        "python": platform.python_version(), "numpy": np.__version__},
     }
 
 

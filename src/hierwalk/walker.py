@@ -6,10 +6,18 @@ started from the origin are supported on a single parity class (x + t even),
 so amplitudes are stored compactly along the light cone: at time t the two
 components live on sites x = -t + 2q for q = 0..t. Every coin is real, so the
 light-cone walk steps real arrays: one walk and its mirror image on a
-mirror-symmetric field with the default spinor, two walks (Re psi, Im psi)
-otherwise. A step updates only the window of the cone outside which every
-amplitude is below DBL_MIN, so it costs the window's width: at most t, and
-about O(xi) in a cell localized on a length xi.
+mirror-symmetric field with the default spinor, one walk for a purely real
+or purely imaginary spinor, two walks (Re psi, Im psi) otherwise. A step
+updates only the window of the cone outside which every amplitude is below
+DBL_MIN, so it costs the window's width: at most t, and about O(xi) in a
+cell localized on a length xi.
+
+The time loop runs in C (module ckernel), compiled with the system C
+compiler at the first light-cone walk and cached under
+${XDG_CACHE_HOME:-~/.cache}/hierwalk/. Where no library can be built or
+loaded, the same loop runs in numpy, bit for bit; it is only slower.
+light_cone_kernel() says which one a process runs, and every sweep's
+manifest.json records it.
 
 Against updating the whole cone in complex arithmetic, exact zeros and every
 real or imaginary part of magnitude >= sqrt(DBL_MIN) are identical, and so
@@ -111,14 +119,31 @@ _RESCAN_PERIOD = 32  # steps between recomputations of the window
 _TINY = np.finfo(float).tiny  # DBL_MIN: smaller magnitudes are subnormal or zero
 
 
+def _load_kernel():
+    """ckernel's compiled loop, or None where it cannot be built.
+
+    ckernel is imported here, at the first walk, so that `import hierwalk`
+    neither pays for its imports nor builds or loads anything.
+    """
+    from . import ckernel
+
+    return ckernel.load()
+
+
+def light_cone_kernel() -> str:
+    """Which loop steps light-cone walks in this process: "compiled" or "numpy"."""
+    return "numpy" if _load_kernel() is None else "compiled"
+
+
 def _iterate(field: CoinField, psi: np.ndarray, times):
     """Yield the WaveState at each of the increasing times, stepping from the origin.
 
     Every coin is real, so Re psi and Im psi evolve as two independent real
-    walks, stepped together as a (2, n) stack. On a mirror-symmetric field a
-    spinor with Im psi = swap(Re psi) needs one walk a, from Re psi: the walk
-    from Im psi is its mirror image b, with b(x) = (a_down(0), a_up(0)) at the
-    origin and elsewhere, at x = -t + 2q,
+    walks, stepped together as rows of (rows, n) buffers. A part of psi that
+    is zero walks as zeros, so it is not stepped. On a mirror-symmetric
+    field a spinor with Im psi = swap(Re psi) needs one walk a, from Re psi:
+    the walk from Im psi is its mirror image b, with b(x) = (a_down(0),
+    a_up(0)) at the origin and elsewhere, at x = -t + 2q,
 
         b_up[q] = (-1)^(t+1) sgn(x) a_down[t-q],  b_down[q] = (-1)^t sgn(x) a_up[t-q].
 
@@ -127,22 +152,40 @@ def _iterate(field: CoinField, psi: np.ndarray, times):
     zeroed. A zero spinor stays zero under the coin, so exact zeros never
     move; dropping subnormal edges moves only amplitudes whose squares
     underflow to 0 in the density.
+
+    The steps between sample times run in ckernel's compiled loop, or in
+    _numpy_steps where it cannot be built; the two agree bit for bit.
     """
-    mirror = field.mirror_symmetric and psi.imag[0] == psi.real[1] and psi.imag[1] == psi.real[0]
-    spinor = psi.real if mirror else np.stack([psi.real, psi.imag], axis=-1)
+    mirror = bool(field.mirror_symmetric and psi.imag[0] == psi.real[1]
+                  and psi.imag[1] == psi.real[0])
+    parts = ("real",) if mirror else tuple(p for p in ("real", "imag") if getattr(psi, p).any())
     n = times[-1] + 1
-    up = np.zeros(spinor.shape[1:] + (n,))  # (n,) for one walk, (2, n) for two
-    down = np.zeros_like(up)
-    up[..., 0], down[..., 0] = spinor
-    # The step writes the coin's output shifted into the other buffer pair,
-    # which holds the state before last: zero outside its window, like up and down.
-    next_up = np.zeros_like(up)
-    next_down = np.zeros_like(up)
+    # up, down, then the pair the next step writes into; that pair holds the
+    # state before last, zero outside its window like up and down.
+    bufs = [np.zeros((len(parts), n)) for _ in range(4)]
+    for row, part in enumerate(parts):
+        bufs[0][row, 0], bufs[1][row, 0] = getattr(psi, part)
+    window = np.array([0, 1], dtype=np.int64)
+    kernel = _load_kernel()
+    t = 0
+    for due in times:
+        due = int(due)
+        if kernel is None:
+            _numpy_steps(field, bufs, window, mirror, t, due)
+        else:
+            _compiled_steps(kernel, field, bufs, window, mirror, t, due)
+        t = due
+        yield _wave_state(t, bufs[0][:, :t + 1], bufs[1][:, :t + 1], mirror, parts)
+
+
+def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
+                 t0: int, t1: int) -> None:
+    """Step the walks in bufs from time t0 to t1 in numpy, updating bufs and window in place."""
+    # one walk is stepped as 1-d views: numpy's calls on (1, w) arrays cost more
+    up, down, next_up, next_down = (b[0] if len(b) == 1 else b for b in bufs)
+    lo, hi = (int(v) for v in window)
     tmp = np.empty_like(up)
-    lo, hi = 0, 1
-    pending = iter(times)
-    due = next(pending)
-    for t in range(1, n):
+    for t in range(t0 + 1, t1 + 1):
         c = t - 1  # the cone before this step holds t sites
         if c % _RESCAN_PERIOD == 0:  # never empty: the state keeps its unit norm
             keep = (np.abs(up[..., lo:hi]) >= _TINY) | (np.abs(down[..., lo:hi]) >= _TINY)
@@ -167,24 +210,43 @@ def _iterate(field: CoinField, psi: np.ndarray, times):
         next_down[..., hi] = 0.0
         up, down, next_up, next_down = next_up, next_down, up, down
         hi += 1  # up moved one slot right; the cone gained one slot
-        if t == due:
-            yield _wave_state(t, up[..., :t + 1], down[..., :t + 1], mirror)
-            due = next(pending, None)
+    _swap_if_odd(bufs, t1 - t0)
+    window[:] = lo, hi
 
 
-def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool) -> WaveState:
-    """The complex state from one walk and its mirror, or from a (Re, Im) stack."""
-    psi_up = np.empty(t + 1, dtype=complex)
-    psi_down = np.empty(t + 1, dtype=complex)
+def _swap_if_odd(bufs: list, steps: int) -> None:
+    """After an odd number of steps the state is in the other buffer pair."""
+    if steps % 2:
+        bufs[:] = bufs[2], bufs[3], bufs[0], bufs[1]
+
+
+def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
+                    t0: int, t1: int) -> None:
+    """_numpy_steps through ckernel's lightcone_steps."""
+    rows, n = bufs[0].shape
+    # sin and cos of the cones of either parity, kept referenced during the call
+    tables = [np.ascontiguousarray(a, dtype=float)
+              for a in (*field.trig_slice(n - 1), *field.trig_slice(n - 2))]
+    kernel(*(b.ctypes.data for b in bufs), rows, n, mirror, *(a.ctypes.data for a in tables),
+           t0, t1, _RESCAN_PERIOD, _TINY, window.ctypes.data)
+    _swap_if_odd(bufs, t1 - t0)
+
+
+def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts) -> WaveState:
+    """The complex state from one walk and its mirror, or from walks of the named parts of psi."""
+    psi_up = np.zeros(t + 1, dtype=complex)
+    psi_down = np.zeros(t + 1, dtype=complex)
     if mirror:
+        (up,), (down,) = up, down
         sign = np.sign(np.arange(-t, t + 1, 2, dtype=float)) * (-1.0) ** (t + 1)
         psi_up.real, psi_up.imag = up, sign * down[::-1]
         psi_down.real, psi_down.imag = down, -sign * up[::-1]
         if t % 2 == 0:
             psi_up.imag[t // 2], psi_down.imag[t // 2] = down[t // 2], up[t // 2]
     else:
-        psi_up.real, psi_up.imag = up
-        psi_down.real, psi_down.imag = down
+        for part, row_up, row_down in zip(parts, up, down):
+            setattr(psi_up, part, row_up)
+            setattr(psi_down, part, row_down)
     return WaveState(t, psi_up, psi_down)
 
 

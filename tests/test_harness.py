@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hierwalk import (
     read_samples_csv,
     run_sweep,
 )
+from hierwalk import walker
 from hierwalk.harness import CELLS_HEADER, PhaseCell, write_cells, write_csv, write_samples
 
 FAST_PLAN = dict(
@@ -180,6 +182,20 @@ def test_emit_results_files_and_rerun_bytes(tmp_path):
     assert manifest["generator"] == "numpy PCG64"
     assert manifest["plan"]["base_seed"] == plan.base_seed
     assert manifest["plan"]["t_max"] == plan.t_max
+    assert manifest["environment"] == {"light_cone_kernel": walker.light_cone_kernel(),
+                                       "python": platform.python_version(),
+                                       "numpy": np.__version__}
+
+
+def test_manifest_names_the_numpy_fallback_and_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    plan = small_disordered_plan()
+    emit_results(run_sweep(plan), tmp_path / "default")
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    emit_results(run_sweep(plan), tmp_path / "numpy")
+    manifest = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
+    assert manifest["environment"]["light_cone_kernel"] == "numpy"
+    for name in ("cells.csv", "samples.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 
 
 def test_emit_results_archive_disabled(tmp_path):

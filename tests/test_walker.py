@@ -25,6 +25,12 @@ def hadamard_field(half_width=256):
     return CoinField(1.0, DisorderSpec(), half_width)
 
 
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """Step light-cone walks in the numpy loop, as where no C compiler is found."""
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+
+
 def dense_reference_run(field, psi_ic, t_max):
     """Site-indexed reference evolution, written independently of the kernel.
 
@@ -159,6 +165,7 @@ ORACLE_FIELDS = [
     CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 2048),
 ]
 MIXED_IC = np.array([0.6, 0.8j])  # Im psi != swap(Re psi): two real walks on any field
+IMAG_IC = np.array([0, 1j])  # Re psi = 0: one walk, of Im psi
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # below it a square is subnormal or zero
 
 
@@ -175,9 +182,13 @@ def assert_parts_match_oracle(got, ref):
         assert np.all(np.abs(g[~big] - r[~big]) < SQRT_TINY)
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)
-@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC, MIXED_IC],
-                         ids=["default_ic", "right_ic", "mixed_ic"])
+def oracle_cases(test):
+    test = pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC, MIXED_IC, IMAG_IC],
+                                   ids=["default_ic", "right_ic", "mixed_ic", "imag_ic"])(test)
+    return pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)(test)
+
+
+@oracle_cases
 def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
     checked = (1, 2, 31, 32, 33, 1000, 2048)  # first steps, around a rescan, and the end
     series = evolve(field, psi_ic, 2048)
@@ -192,6 +203,11 @@ def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
     if field.disorder.model == "extensive":  # localized: the cone is largely exact zeros
         nonzero = np.count_nonzero((state.up != 0) | (state.down != 0))
         assert nonzero / state.up.size < 0.7
+
+
+@oracle_cases
+def test_numpy_loop_matches_full_cone_oracle(field, psi_ic, numpy_loop):
+    test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic)
 
 
 class _TwoWalkField:
@@ -241,6 +257,29 @@ def test_trim_leaves_exact_zeros_beyond_the_window():
         assert nonzero[0] > 0 and nonzero[-1] < t  # the trim has dropped edge slots
         assert normal[0] - nonzero[0] <= walker._RESCAN_PERIOD
         assert nonzero[-1] - normal[-1] <= walker._RESCAN_PERIOD
+
+
+def test_numpy_loop_trim_leaves_exact_zeros_beyond_the_window(numpy_loop):
+    test_trim_leaves_exact_zeros_beyond_the_window()
+
+
+@pytest.mark.parametrize("field", [
+    CoinField(1.0, DisorderSpec(), 4096),
+    CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 4096),
+    CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 4096),
+], ids=lambda f: f.disorder.model)
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, MIXED_IC, RIGHT_IC],
+                         ids=["default_ic", "mixed_ic", "right_ic"])
+def test_compiled_loop_gives_the_numpy_loops_bytes(field, psi_ic, monkeypatch):
+    if walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    times = (1, 2, 31, 32, 33, 1024, 4095, 4096)
+    psi = walker._as_spinor(psi_ic)
+    compiled = list(walker._iterate(field, psi, times))
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    for a, b in zip(compiled, walker._iterate(field, psi, times), strict=True):
+        assert a.t == b.t
+        assert a.up.tobytes() == b.up.tobytes() and a.down.tobytes() == b.down.tobytes()
 
 
 def test_step_rejects_cone_beyond_lattice():
