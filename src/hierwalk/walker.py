@@ -9,13 +9,14 @@ light-cone walk steps real arrays: one walk and its mirror image on a
 mirror-symmetric field with the default spinor, one walk for a purely real
 or purely imaginary spinor, two walks (Re psi, Im psi) otherwise. A step
 updates only the window of the cone outside which every amplitude is below
-DBL_MIN, so it costs the window's width: at most t, and about O(xi) in a
-cell localized on a length xi.
+DBL_MIN, recomputed at every even cone, so it costs the window's width: at
+most t, and about O(xi) in a cell localized on a length xi.
 
 The time loop runs in C (module ckernel), compiled with the system C
 compiler at the first light-cone walk and cached under
-${XDG_CACHE_HOME:-~/.cache}/hierwalk/. Where no library can be built or
-loaded, the same loop runs in numpy, bit for bit; it is only slower.
+${XDG_CACHE_HOME:-~/.cache}/hierwalk/. It steps the two cones between
+window rescans in one pass. Where no library can be built or loaded, the
+same loop runs in numpy one cone at a time, bit for bit; it is only slower.
 light_cone_kernel() says which one a process runs, and every sweep's
 manifest.json records it.
 
@@ -23,7 +24,7 @@ Against updating the whole cone in complex arithmetic, exact zeros and every
 real or imaginary part of magnitude >= sqrt(DBL_MIN) are identical, and so
 is sigma(t) up to t = 2^14 on every output checked. Dropping subnormal edges
 moves only tinier amplitudes, by rounding flips that cascade; over 2^16 steps
-they reached the last bit of sigma (4.0e-16 relative on one sample).
+they reached the last bits of sigma (4 of 32 samples, up to 5.4e-16 relative).
 
 The closed-line evolution never renormalizes: norm drift is a diagnostic.
 """
@@ -115,7 +116,7 @@ def _check_horizon(field: CoinField, t_max: int, t_min: int) -> None:
         raise ValueError(f"t_max {t_max} exceeds the lattice half_width {field.half_width}")
 
 
-_RESCAN_PERIOD = 32  # steps between recomputations of the window
+_RESCAN_PERIOD = 2  # steps between recomputations of the window; ckernel's loop hard-codes it
 _TINY = np.finfo(float).tiny  # DBL_MIN: smaller magnitudes are subnormal or zero
 
 
@@ -206,30 +207,33 @@ def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
         if c % 2 == 0 and lo <= q0 < hi:
             next_up[..., q0 + 1] = up[..., q0]
             next_down[..., q0] = down[..., q0]
-        next_up[..., lo] = 0.0
-        next_down[..., hi] = 0.0
+        next_up[..., lo] = 0.0  # next_down[..., hi] is +0.0, beyond the older state's window
         up, down, next_up, next_down = next_up, next_down, up, down
         hi += 1  # up moved one slot right; the cone gained one slot
-    _swap_if_odd(bufs, t1 - t0)
+    if (t1 - t0) % 2:
+        _swap(bufs)
     window[:] = lo, hi
 
 
-def _swap_if_odd(bufs: list, steps: int) -> None:
-    """After an odd number of steps the state is in the other buffer pair."""
-    if steps % 2:
-        bufs[:] = bufs[2], bufs[3], bufs[0], bufs[1]
+def _swap(bufs: list) -> None:
+    """The state has moved to the other buffer pair."""
+    bufs[:] = bufs[2], bufs[3], bufs[0], bufs[1]
 
 
 def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
                     t0: int, t1: int) -> None:
-    """_numpy_steps through ckernel's lightcone_steps."""
+    """_numpy_steps through ckernel's lightcone_steps.
+
+    The C loop steps two cones per buffer swap where it can, so it says
+    which buffer pair holds the state.
+    """
     rows, n = bufs[0].shape
     # sin and cos of the cones of either parity, kept referenced during the call
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*field.trig_slice(n - 1), *field.trig_slice(n - 2))]
-    kernel(*(b.ctypes.data for b in bufs), rows, n, mirror, *(a.ctypes.data for a in tables),
-           t0, t1, _RESCAN_PERIOD, _TINY, window.ctypes.data)
-    _swap_if_odd(bufs, t1 - t0)
+    if kernel(*(b.ctypes.data for b in bufs), rows, n, mirror, *(a.ctypes.data for a in tables),
+              t0, t1, _TINY, window.ctypes.data):
+        _swap(bufs)
 
 
 def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts) -> WaveState:

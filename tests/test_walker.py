@@ -244,9 +244,10 @@ def test_trim_leaves_exact_zeros_beyond_the_window():
     """The subnormal edges a rescan drops are zeroed, not left behind.
 
     On the Hadamard walk amplitudes fall below DBL_MIN at the cone edges from
-    t ~ 2000 on. Between rescans the window grows by one slot per step, so the
-    nonzero slots beyond the outermost amplitudes >= DBL_MIN number at most
-    _RESCAN_PERIOD on each side. Odd and even t read different buffers.
+    t ~ 2000 on. The window is rescanned at every even cone and grows by one
+    slot per step, so the nonzero slots beyond the outermost amplitudes >=
+    DBL_MIN number at most 2 on each side; a longer rescan period fails here.
+    Odd and even t read different buffers.
     """
     field = hadamard_field(4096)
     for t in (4095, 4096):
@@ -255,8 +256,8 @@ def test_trim_leaves_exact_zeros_beyond_the_window():
         nonzero = np.flatnonzero(np.any(parts != 0, axis=0))
         normal = np.flatnonzero(np.any(np.abs(parts) >= np.finfo(float).tiny, axis=0))
         assert nonzero[0] > 0 and nonzero[-1] < t  # the trim has dropped edge slots
-        assert normal[0] - nonzero[0] <= walker._RESCAN_PERIOD
-        assert nonzero[-1] - normal[-1] <= walker._RESCAN_PERIOD
+        assert normal[0] - nonzero[0] <= 2
+        assert nonzero[-1] - normal[-1] <= 2
 
 
 def test_numpy_loop_trim_leaves_exact_zeros_beyond_the_window(numpy_loop):
@@ -267,19 +268,28 @@ def test_numpy_loop_trim_leaves_exact_zeros_beyond_the_window(numpy_loop):
     CoinField(1.0, DisorderSpec(), 4096),
     CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 4096),
     CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 4096),
-], ids=lambda f: f.disorder.model)
+    # coin angles beyond pi/2 (cos < 0 < sin) turn +0.0 into -0.0 where the walk of
+    # Im psi is zero at the cone's edge, so the sign of each zero the loop makes shows
+    CoinField(1.0, DisorderSpec(model="hierarchical", W=3.0, seed=5), 4096),
+], ids=["none", "hierarchical", "extensive", "obtuse"])
 @pytest.mark.parametrize("psi_ic", [DEFAULT_IC, MIXED_IC, RIGHT_IC],
                          ids=["default_ic", "mixed_ic", "right_ic"])
 def test_compiled_loop_gives_the_numpy_loops_bytes(field, psi_ic, monkeypatch):
     if walker.light_cone_kernel() != "compiled":
         pytest.skip("the compiled light-cone loop cannot be built here")
-    times = (1, 2, 31, 32, 33, 1024, 4095, 4096)
+    # the compiled loop steps two cones per pass from even cones, one otherwise:
+    # single steps (0 -> 1, 1 -> 2, 2 -> 3, 3 -> 5, 5 -> 6), a lone pair (0 -> 2, where
+    # the window's edges are the origin's slots), a step at odd cone 33 then pairs
+    # (33 -> 1024), pairs then a step at an even cone (6 -> 31, 1024 -> 4095)
+    grid = (1, 2, 3, 5, 6, 31, 32, 33, 1024, 4095, 4096)
     psi = walker._as_spinor(psi_ic)
-    compiled = list(walker._iterate(field, psi, times))
-    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
-    for a, b in zip(compiled, walker._iterate(field, psi, times), strict=True):
-        assert a.t == b.t
-        assert a.up.tobytes() == b.up.tobytes() and a.down.tobytes() == b.down.tobytes()
+    for times in (grid, grid[1:]):
+        monkeypatch.undo()
+        compiled = list(walker._iterate(field, psi, times))
+        monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+        for a, b in zip(compiled, walker._iterate(field, psi, times), strict=True):
+            assert a.t == b.t
+            assert a.up.tobytes() == b.up.tobytes() and a.down.tobytes() == b.down.tobytes()
 
 
 def test_step_rejects_cone_beyond_lattice():
