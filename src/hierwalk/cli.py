@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"--extrapolation {cell_spec!r} is not a cell of the sweep grid")
         tables.append((eps, w, f"extrapolation_{parts[0].strip()}_{parts[1].strip()}.csv"))
     result = run_sweep(plan)
-    written = emit_results(result, args.out_dir, include_archive=not args.no_archive)
+    written = emit_results(result, args.out_dir)
     for eps, w, name in tables:
         path = Path(args.out_dir) / name
         emit_extrapolation_table(result, eps, w, path)
@@ -168,15 +169,15 @@ def _cmd_fit(args) -> int:
     if not samples.exists():
         raise ValueError(f"no samples.csv archive in {results_dir}")
     if not manifest_path.exists():
-        raise ValueError(
-            f"no manifest.json in {results_dir}: the base seed, fit window and "
-            "threshold of the sweep are unknown"
-        )
-    base_seed, window, threshold = read_manifest(manifest_path)
-    window = _window_from(args) or window
-    if args.threshold is not None:
-        threshold = args.threshold
-    archive = read_samples_csv(samples, base_seed=base_seed)
+        raise ValueError(f"no manifest.json in {results_dir}: the plan of the sweep is unknown")
+    plan = read_manifest(manifest_path)
+    window = _window_from(args) or plan.fit_window
+    threshold = plan.threshold if args.threshold is None else args.threshold
+    archive = read_samples_csv(samples, base_seed=plan.base_seed)
+    keys = product(plan.epsilon_values, plan.W_values, [plan.model], range(plan.n_instances))
+    if {(r.epsilon, r.W, r.series.model, r.instance) for r in archive} != set(keys):
+        raise ValueError(f"{samples} does not hold exactly the (epsilon, W, model, instance) "
+                         f"records of the plan in {manifest_path}")
     cells = cells_from_archive(archive, window, threshold)
     with _output(args.out) as f:
         write_cells(f, cells)
@@ -264,15 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "instance, exceeds this; that is 2x the cone's slots and more "
                               "than the kernel's trimmed window updates")
     p_sweep.add_argument("--out-dir", required=True)
-    p_sweep.add_argument("--no-archive", action="store_true",
-                         help="skip the per-sample samples.csv archive")
     p_sweep.add_argument("--extrapolation", action="append", default=None, metavar="EPS,W",
                          help="also write the extrapolation table for this cell (repeatable)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="refit phase cells from an archived samples.csv")
     p_fit.add_argument("--results-dir", required=True,
-                       help="directory holding samples.csv (and manifest.json)")
+                       help="sweep directory holding samples.csv and manifest.json")
     p_fit.add_argument("--t-lo", type=float, default=None)
     p_fit.add_argument("--t-hi", type=float, default=None)
     p_fit.add_argument("--threshold", type=float, default=None)

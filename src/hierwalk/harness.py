@@ -13,7 +13,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from multiprocessing import Pool
@@ -85,6 +85,10 @@ class SweepPlan:
             DisorderSpec(self.model, w)
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
+        if not isinstance(self.base_seed, int):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if not isinstance(self.threshold, (int, float)):
+            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         require_power_of_two("t_max", self.t_max)
         if self.half_width is None:
             object.__setattr__(self, "half_width", self.t_max)
@@ -281,56 +285,49 @@ def _plan_manifest(plan: SweepPlan) -> dict:
     }
 
 
-def read_manifest(path) -> tuple:
-    """(base_seed, fit_window, threshold) of a manifest.json; a malformed one is refused by path."""
+def read_manifest(path) -> SweepPlan:
+    """The SweepPlan a manifest.json was written from; a file that holds none is refused by path."""
     try:
         with open(path) as f:
-            plan = json.load(f)
+            manifest = json.load(f)
     except ValueError as exc:  # malformed JSON or text
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    plan = manifest.get("plan")
     if not isinstance(plan, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(plan).__name__}")
-    plan = plan.get("plan", {})
-    missing = [f"plan.{key}" for key in ("base_seed", "fit_window", "threshold")
-               if not isinstance(plan, dict) or key not in plan]
-    if missing:
+        raise ValueError(f"{path}: no plan object")
+    missing = [f"plan.{f.name}" for f in fields(SweepPlan) if f.name not in plan]
+    if missing:  # refused even where SweepPlan has a default: a value is never guessed
         raise ValueError(f"{path}: missing {', '.join(missing)}")
-    seed, window, threshold = plan["base_seed"], plan["fit_window"], plan["threshold"]
-    window_ok = window is None or (isinstance(window, list) and len(window) == 2
-                                   and all(isinstance(t, (int, float)) for t in window))
-    if not (window_ok and isinstance(seed, int) and isinstance(threshold, (int, float))):
-        raise ValueError(f"{path}: plan needs an integer base_seed, a numeric threshold "
-                         "and a fit_window of null or [t_lo, t_hi]")
-    return seed, None if window is None else tuple(window), threshold
+    try:
+        return SweepPlan(**{**plan, "psi_ic": [complex(*pair) for pair in plan["psi_ic"]]})
+    except (TypeError, ValueError) as exc:  # an unknown or mistyped field, or a plan rule
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def emit_results(result: SweepResult, out_dir, include_archive: bool = True) -> dict:
-    """Write cells.csv, manifest.json, and (optionally) the samples.csv archive.
+def emit_results(result: SweepResult, out_dir) -> dict:
+    """Write cells.csv, the samples.csv archive and manifest.json.
 
     Floats are written with repr (shortest round-trip), so identical plans give
-    byte-identical files. Returns the paths written, keyed by file kind.
+    byte-identical files, and `hierwalk fit` rebuilds cells.csv from the other
+    two. Returns the paths written, keyed by file kind.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create results directory {out}: {exc}") from exc
-    written = {}
+    written = {"cells": out / "cells.csv", "samples": out / "samples.csv",
+               "manifest": out / "manifest.json"}
     try:
-        cells_path = out / "cells.csv"
-        with open(cells_path, "w", newline="") as f:
+        with open(written["cells"], "w", newline="") as f:
             write_cells(f, result.cells)
-        written["cells"] = cells_path
-        if include_archive:
-            samples_path = out / "samples.csv"
-            with open(samples_path, "w", newline="") as f:
-                write_samples(f, result.archive)
-            written["samples"] = samples_path
-        manifest_path = out / "manifest.json"
-        with open(manifest_path, "w", newline="") as f:
+        with open(written["samples"], "w", newline="") as f:
+            write_samples(f, result.archive)
+        with open(written["manifest"], "w", newline="") as f:
             json.dump(_plan_manifest(result.plan), f, indent=2, sort_keys=True)
             f.write("\n")
-        written["manifest"] = manifest_path
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
     return written

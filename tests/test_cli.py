@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -168,12 +169,14 @@ def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, problem", [
-    ("{}", "missing plan.base_seed, plan.fit_window, plan.threshold"),
-    ('{"plan": {"base_seed": 0, "threshold": 0.1}}', "missing plan.fit_window"),
+    ("{}", "no plan object"),
+    ('{"plan": {"base_seed": 0, "threshold": 0.1}}',
+     "missing plan.epsilon_values, plan.W_values, plan.model, plan.n_instances, plan.t_max"),
     ('{"plan": {"base_s', "not valid JSON"),
     ("[1,2]", "expected a JSON object, got list"),
-    ('{"plan": {"base_seed": "7", "fit_window": null, "threshold": 0.1}}',
-     "plan needs an integer base_seed"),
+    # the sweep's own manifest with one plan field changed, refused by SweepPlan
+    ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
+    ({"t_max": 100}, "t_max must be a positive power of two, got 100"),
 ])
 def test_fit_refuses_bad_manifest(capsys, tmp_path, text, problem):
     out_dir = tmp_path / "results"
@@ -183,11 +186,34 @@ def test_fit_refuses_bad_manifest(capsys, tmp_path, text, problem):
     )
     assert code == 0
     manifest = out_dir / "manifest.json"
+    if isinstance(text, dict):
+        real = json.loads(manifest.read_text())
+        real["plan"].update(text)
+        text = json.dumps(real)
     manifest.write_text(text)
     code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
     assert code == 1
     assert out == ""
     assert f"{manifest}: {problem}" in err
+
+
+@pytest.mark.parametrize("keep", [lambda row: row.startswith("0.8,"), lambda row: False],
+                         ids=["first_cell_only", "header_only"])
+def test_fit_refuses_an_archive_that_is_not_the_plans(capsys, tmp_path, keep):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--model", "hierarchical", "--epsilon", "0.8", "--epsilon", "0.6",
+        "--W", "0.5", "--instances", "2", "--t-max", "256", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    samples = out_dir / "samples.csv"
+    header, *rows = samples.read_text().splitlines()
+    samples.write_text("\n".join([header, *filter(keep, rows)]) + "\n")
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert (f"{samples} does not hold exactly the (epsilon, W, model, instance) records "
+            f"of the plan in {out_dir / 'manifest.json'}") in err
 
 
 @pytest.mark.parametrize("l", ["-1", "0"])

@@ -20,7 +20,14 @@ from hierwalk import (
     run_sweep,
 )
 from hierwalk import walker
-from hierwalk.harness import CELLS_HEADER, PhaseCell, write_cells, write_csv, write_samples
+from hierwalk.harness import (
+    CELLS_HEADER,
+    PhaseCell,
+    read_manifest,
+    write_cells,
+    write_csv,
+    write_samples,
+)
 
 FAST_PLAN = dict(
     epsilon_values=(1.0,),
@@ -70,6 +77,10 @@ def test_plan_validation():
         SweepPlan(**{**FAST_PLAN, "epsilon_values": (0.8, 0.6, 0.8)})
     with pytest.raises(ValueError, match="W_values must be nonempty and free of repeats"):
         SweepPlan(**{**FAST_PLAN, "W_values": (0.5, 0.5)})
+    with pytest.raises(ValueError, match="base_seed must be an integer, got 7.0"):
+        SweepPlan(**{**FAST_PLAN, "base_seed": 7.0})
+    with pytest.raises(ValueError, match="threshold must be a number, got '0.1'"):
+        SweepPlan(**{**FAST_PLAN, "threshold": "0.1"})
 
 
 def test_plan_instance_seeds_are_offsets():
@@ -198,13 +209,6 @@ def test_manifest_names_the_numpy_fallback_and_outputs_keep_their_bytes(tmp_path
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 
 
-def test_emit_results_archive_disabled(tmp_path):
-    result = run_sweep(SweepPlan(**FAST_PLAN))
-    written = emit_results(result, tmp_path / "out", include_archive=False)
-    assert set(written) == {"cells", "manifest"}
-    assert not (tmp_path / "out" / "samples.csv").exists()
-
-
 def test_write_csv_writes_numpy_scalars_like_python_ones():
     f = io.StringIO()
     write_csv(f, "a,b,c,d,e,f", [(0.1, np.float64(0.1), np.int64(8), 3, "ok", "")])
@@ -229,11 +233,8 @@ def test_cells_header_follows_phase_cell_fields():
 def test_manifest_plan_is_the_sweep_plan(tmp_path):
     plan = small_disordered_plan(n_instances=1, t_max=2 ** 6, fit_window=(8, 64),
                                  psi_ic=(0.6, 0.8j))
-    emit_results(run_sweep(plan), tmp_path, include_archive=False)
-    block = json.loads((tmp_path / "manifest.json").read_text())["plan"]
-    assert sorted(block) == sorted(f.name for f in dataclasses.fields(SweepPlan))
-    block["psi_ic"] = [complex(re, im) for re, im in block["psi_ic"]]
-    assert SweepPlan(**block) == plan
+    emit_results(run_sweep(plan), tmp_path)
+    assert read_manifest(tmp_path / "manifest.json") == plan
 
 
 def test_samples_roundtrip_and_refit(tmp_path):
