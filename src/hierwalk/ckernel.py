@@ -13,8 +13,11 @@ never load a half-written file.
 The C follows numpy's operation order in `walker._numpy_steps`: each product
 of the coin is rounded on its own before the sum (-ffp-contract=off forbids
 fused multiply-adds), so every amplitude is bit-identical to the numpy loop,
-signed zeros included. Never build it with -ffast-math: that links code that
-flushes subnormals to zero in the whole process, numpy included.
+signed zeros included. So is the trim's certificate B: each trim sums the
+squares it drops in one fixed order, which the numpy loop repeats with a
+cumulative sum, and adds their square root. Never build it with -ffast-math:
+that links code that flushes subnormals to zero in the whole process, numpy
+included, and lets the compiler reorder those sums.
 
 Where numpy steps one cone at a time and rescans the window at every even
 cone, the C steps the two cones from an even cone in one pass over the
@@ -49,9 +52,13 @@ static int kept(const double *up, const double *down, int64_t rows, int64_t n,
 }
 
 /* Move the window [lo, hi) past its edge slots whose every amplitude is
-   below tiny, and zero those slots in all four buffers. */
+   below tiny, and zero those slots in all four buffers. Adds to *dropped
+   the 2-norm of the psi the state loses: the rows' up and down amplitudes
+   at the dropped slots, and as much again for the mirror image of a mirror
+   walk, whose dropped slots are these slots' mirrors. The squares are
+   summed row by row, up before down, left edge before right. */
 static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
-                 double tiny, int64_t *lo, int64_t *hi)
+                 double tiny, int64_t *lo, int64_t *hi, double *dropped)
 {
     int64_t first = *lo, last = *hi - 1;
     while (first < *hi && !kept(bufs[0], bufs[1], rows, n, first, tiny))
@@ -67,6 +74,16 @@ static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
         if (*lo + *hi - first > new_hi)
             new_hi = *lo + *hi - first;
     }
+    double sq = 0.0;
+    for (int64_t r = 0; r < rows; r++)
+        for (int b = 0; b < 2; b++) {
+            const double *a = bufs[b] + r * n;
+            for (int64_t q = *lo; q < new_lo; q++)
+                sq += a[q] * a[q];
+            for (int64_t q = new_hi; q < *hi; q++)
+                sq += a[q] * a[q];
+        }
+    *dropped += sqrt(mirror ? 2.0 * sq : sq);
     for (int b = 0; b < 4; b++)
         for (int64_t r = 0; r < rows; r++) {
             for (int64_t q = *lo; q < new_lo; q++)
@@ -138,7 +155,8 @@ static void pair(const double *restrict u, const double *restrict d,
 /* Step rows (1 or 2) real walks from time t0 to t1 >= t0. Each buffer holds
    the rows one after the other, n slots each; slot q of cone c is site
    x = -c + 2q. window = [lo, hi) is the slot range outside which every
-   amplitude of up and down is zero; it is read and written back. next_up
+   amplitude of up and down is zero; it is read and written back, and so is
+   *dropped, to which each trim adds the 2-norm of the psi it drops. next_up
    and next_down hold an earlier state, zero outside the window too. The
    window is trimmed at every even cone, and the two steps from an even cone
    run as one pair; an odd t0 or t1 takes a single step. Returns 1 if the
@@ -149,7 +167,8 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
                     int64_t rows, int64_t n, int32_t mirror,
                     const double *sin_a, const double *cos_a,
                     const double *sin_b, const double *cos_b,
-                    int64_t t0, int64_t t1, double tiny, int64_t *window)
+                    int64_t t0, int64_t t1, double tiny, int64_t *window,
+                    double *dropped)
 {
     int64_t lo = window[0], hi = window[1];
     int swapped = 0;
@@ -159,7 +178,7 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
         const double *co = ((back & 1) ? cos_b : cos_a) + back / 2;
         if (c % 2 == 0) {
             double *const bufs[4] = {up, down, next_up, next_down};
-            trim(bufs, rows, n, mirror, tiny, &lo, &hi);
+            trim(bufs, rows, n, mirror, tiny, &lo, &hi, dropped);
         }
         const int64_t q0 = c % 2 ? -1 : c / 2;  /* the origin's slot on even cones */
         const int64_t steps = c % 2 == 0 && c + 2 <= t1 ? 2 : 1;
@@ -186,12 +205,13 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
 
 _CC = "cc"
 # Never -ffast-math (it flushes subnormals process-wide) nor -march=native.
-_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# -fno-math-errno inlines sqrt, so the library needs no libm.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, _P, _P, _P, _P,
-             _I64, _I64, ctypes.c_double, _P)
+             _I64, _I64, ctypes.c_double, _P, _P)
 
 
 def library_path() -> Path:

@@ -17,6 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from multiprocessing import Pool
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .observables import (
     select_fit_window,
 )
 from .walker import (
+    _TINY,
     DEFAULT_IC,
     _as_spinor,
     _validated_sample_times,
@@ -54,9 +56,30 @@ PRESETS = {
 }
 
 
+def _integer(name: str, value) -> int:
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _items(name: str, values, kind) -> tuple:
+    """values as a tuple, refused by name unless it is a sequence (not a string) of kind."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or isinstance(values, str) or not all(isinstance(v, kind) for v in items):
+        noun = "integers" if kind is Integral else "numbers"
+        raise ValueError(f"{name} must be a sequence of {noun}, got {values!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class SweepPlan:
-    """Everything that determines a sweep, and therefore its outputs."""
+    """Everything that determines a sweep, and therefore its outputs.
+
+    A field of the wrong type is refused with a message that names it.
+    """
 
     epsilon_values: tuple
     W_values: tuple
@@ -72,36 +95,43 @@ class SweepPlan:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon_values", tuple(float(e) for e in self.epsilon_values))
-        object.__setattr__(self, "W_values", tuple(float(w) for w in self.W_values))
-        object.__setattr__(self, "psi_ic", tuple(complex(a) for a in _as_spinor(self.psi_ic)))
         for name in ("epsilon_values", "W_values"):
-            values = getattr(self, name)
+            values = tuple(float(v) for v in _items(name, getattr(self, name), Real))
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{name} must be nonempty and free of repeats, got {values}")
+            object.__setattr__(self, name, values)
+        try:
+            psi = _as_spinor(self.psi_ic)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"psi_ic: {exc}") from None
+        object.__setattr__(self, "psi_ic", tuple(complex(a) for a in psi))
         for e in self.epsilon_values:
             require_epsilon(e)
         for w in self.W_values:
             DisorderSpec(self.model, w)
+        if self.half_width is None:
+            object.__setattr__(self, "half_width", self.t_max)
+        for name in ("n_instances", "base_seed", "t_max", "half_width", "budget"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if not isinstance(self.base_seed, int):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be a positive integer, got {self.budget}")
         if not isinstance(self.threshold, (int, float)):
             raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         require_power_of_two("t_max", self.t_max)
-        if self.half_width is None:
-            object.__setattr__(self, "half_width", self.t_max)
         require_power_of_two("half_width", self.half_width)
         if self.t_max > self.half_width:
             raise ValueError(f"t_max {self.t_max} exceeds half_width {self.half_width}")
         if self.sample_times is None:
             object.__setattr__(self, "sample_times", default_sample_times(self.t_max))
-        ts = _validated_sample_times(self.sample_times, self.t_max)
+        ts = _validated_sample_times(_items("sample_times", self.sample_times, Integral), self.t_max)
         object.__setattr__(self, "sample_times", tuple(int(t) for t in ts))
         if self.fit_window is not None:
-            lo, hi = self.fit_window
-            object.__setattr__(self, "fit_window", (float(lo), float(hi)))
+            window = _items("fit_window", self.fit_window, Real)
+            if len(window) != 2:
+                raise ValueError(f"fit_window must be a pair (t_lo, t_hi), got {self.fit_window!r}")
+            object.__setattr__(self, "fit_window", tuple(float(v) for v in window))
         select_fit_window(ts[ts >= 2], self.fit_window)  # refuse a window the fit cannot use
 
     def instance_seed(self, instance: int) -> int:
@@ -279,8 +309,9 @@ def _plan_manifest(plan: SweepPlan) -> dict:
         "generator": "numpy PCG64",
         "seed_rule": "instance seed = (base_seed + instance_index) mod 2^64",
         "plan": {**asdict(plan), "psi_ic": [[a.real, a.imag] for a in plan.psi_ic]},
-        # pool workers load the kernel from the same cache as this process
-        "environment": {"light_cone_kernel": light_cone_kernel(),
+        # pool workers load the kernel from the same cache as this process; the
+        # trim threshold tau only moves the last bits of sigma, so a refit ignores it
+        "environment": {"light_cone_kernel": light_cone_kernel(), "light_cone_trim": _TINY,
                         "python": platform.python_version(), "numpy": np.__version__},
     }
 
@@ -300,9 +331,14 @@ def read_manifest(path) -> SweepPlan:
     missing = [f"plan.{f.name}" for f in fields(SweepPlan) if f.name not in plan]
     if missing:  # refused even where SweepPlan has a default: a value is never guessed
         raise ValueError(f"{path}: missing {', '.join(missing)}")
+    pairs = plan["psi_ic"]
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(v, Real) for v in p)
+            for p in pairs)):
+        raise ValueError(f"{path}: psi_ic must be a list of [re, im] pairs, got {pairs!r}")
     try:
-        return SweepPlan(**{**plan, "psi_ic": [complex(*pair) for pair in plan["psi_ic"]]})
-    except (TypeError, ValueError) as exc:  # an unknown or mistyped field, or a plan rule
+        return SweepPlan(**{**plan, "psi_ic": [complex(*pair) for pair in pairs]})
+    except (TypeError, ValueError) as exc:  # an unknown field, or one SweepPlan refuses by name
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -9,8 +9,9 @@ light-cone walk steps real arrays: one walk and its mirror image on a
 mirror-symmetric field with the default spinor, one walk for a purely real
 or purely imaginary spinor, two walks (Re psi, Im psi) otherwise. A step
 updates only the window of the cone outside which every amplitude is below
-DBL_MIN, recomputed at every even cone, so it costs the window's width: at
-most t, and about O(xi) in a cell localized on a length xi.
+the trim threshold tau = 1e-30, recomputed at every even cone, so it costs
+the window's width: at most t, and about O(xi) in a cell localized on a
+length xi.
 
 The time loop runs in C (module ckernel), compiled with the system C
 compiler at the first light-cone walk and cached under
@@ -20,11 +21,15 @@ same loop runs in numpy one cone at a time, bit for bit; it is only slower.
 light_cone_kernel() says which one a process runs, and every sweep's
 manifest.json records it.
 
-Against updating the whole cone in complex arithmetic, exact zeros and every
-real or imaginary part of magnitude >= sqrt(DBL_MIN) are identical, and so
-is sigma(t) up to t = 2^14 on every output checked. Dropping subnormal edges
-moves only tinier amplitudes, by rounding flips that cascade; over 2^16 steps
-they reached the last bits of sigma (4 of 32 samples, up to 5.4e-16 relative).
+The trim is certified. Every rescan adds the 2-norm of the psi it drops to
+B (WaveState.trim_bound). The walk is unitary, so in exact arithmetic the
+trimmed state is within B of the untrimmed one in 2-norm, and sigma^2 within
+6 B t^2. B stays below 3e-26 up to t = 2^16 on the fields checked, so sigma^2
+moves by less than 1e-15 there; tau = 1e-20 would let B reach 2.5e-16, the
+rounding of a single step. In floating point, exact zeros stay exact and the
+walk is bit for bit the untrimmed one until the first nonzero amplitude is
+dropped; after that, rounding flips cascade, and sigma moves in its last bits
+(up to 3.1e-15 relative against the subnormal trim over 22 walks up to 2^16).
 
 The closed-line evolution never renormalizes: norm drift is a diagnostic.
 """
@@ -59,12 +64,14 @@ class WaveState:
 
     up[q] and down[q] are the right- and left-mover amplitudes at site
     x = -t + 2q. Sites of the other parity class, and sites with |x| > t,
-    are exactly zero.
+    are exactly zero. trim_bound is the certificate B of the window trim
+    (see _iterate): the state is within B, in 2-norm, of the untrimmed walk's.
     """
 
     t: int
     up: np.ndarray
     down: np.ndarray
+    trim_bound: float = 0.0
 
     def occupied_sites(self) -> np.ndarray:
         return -self.t + 2 * np.arange(self.t + 1)
@@ -117,7 +124,7 @@ def _check_horizon(field: CoinField, t_max: int, t_min: int) -> None:
 
 
 _RESCAN_PERIOD = 2  # steps between recomputations of the window; ckernel's loop hard-codes it
-_TINY = np.finfo(float).tiny  # DBL_MIN: smaller magnitudes are subnormal or zero
+_TINY = 1e-30  # tau: a rescan drops edge slots whose every amplitude is below it
 
 
 def _load_kernel():
@@ -149,10 +156,13 @@ def _iterate(field: CoinField, psi: np.ndarray, times):
         b_up[q] = (-1)^(t+1) sgn(x) a_down[t-q],  b_down[q] = (-1)^t sgn(x) a_up[t-q].
 
     Only the window [lo, hi) of cone slots outside which every component of
-    psi is below DBL_MIN is updated; at each rescan the slots it drops are
-    zeroed. A zero spinor stays zero under the coin, so exact zeros never
-    move; dropping subnormal edges moves only amplitudes whose squares
-    underflow to 0 in the density.
+    psi is below _TINY (tau) is updated; at each rescan the slots it drops are
+    zeroed, and the 2-norm of the psi they held is added to the certificate
+    B that each WaveState carries as trim_bound. A mirror walk counts its
+    mirror image's share too. A zero spinor stays zero under the coin, so
+    exact zeros never move. The squares of dropped parts below
+    sqrt(DBL_MIN) underflow, so B may miss up to sqrt(count * DBL_MIN), some
+    1e-151 for any count of parts a walk can drop: nothing next to rounding.
 
     The steps between sample times run in ckernel's compiled loop, or in
     _numpy_steps where it cannot be built; the two agree bit for bit.
@@ -167,21 +177,23 @@ def _iterate(field: CoinField, psi: np.ndarray, times):
     for row, part in enumerate(parts):
         bufs[0][row, 0], bufs[1][row, 0] = getattr(psi, part)
     window = np.array([0, 1], dtype=np.int64)
+    dropped = np.zeros(1)
     kernel = _load_kernel()
     t = 0
     for due in times:
         due = int(due)
         if kernel is None:
-            _numpy_steps(field, bufs, window, mirror, t, due)
+            _numpy_steps(field, bufs, window, dropped, mirror, t, due)
         else:
-            _compiled_steps(kernel, field, bufs, window, mirror, t, due)
+            _compiled_steps(kernel, field, bufs, window, dropped, mirror, t, due)
         t = due
-        yield _wave_state(t, bufs[0][:, :t + 1], bufs[1][:, :t + 1], mirror, parts)
+        yield _wave_state(t, bufs[0][:, :t + 1], bufs[1][:, :t + 1], mirror, parts,
+                          float(dropped[0]))
 
 
-def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
-                 t0: int, t1: int) -> None:
-    """Step the walks in bufs from time t0 to t1 in numpy, updating bufs and window in place."""
+def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, dropped: np.ndarray,
+                 mirror: bool, t0: int, t1: int) -> None:
+    """Step the walks in bufs from time t0 to t1 in numpy, updating bufs, window and dropped in place."""
     # one walk is stepped as 1-d views: numpy's calls on (1, w) arrays cost more
     up, down, next_up, next_down = (b[0] if len(b) == 1 else b for b in bufs)
     lo, hi = (int(v) for v in window)
@@ -195,6 +207,11 @@ def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
                 keep |= keep[::-1]
             nz = np.flatnonzero(keep)
             new_lo, new_hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
+            if new_lo > lo or new_hi < hi:  # ckernel's trim order; cumsum adds in sequence
+                cut = np.concatenate([a[..., e] for a in (up, down)
+                                      for e in (np.s_[lo:new_lo], np.s_[new_hi:hi])], axis=-1)
+                sq = float(np.cumsum(cut * cut)[-1])
+                dropped[0] += math.sqrt(2.0 * sq if mirror else sq)
             for buf in (up, down, next_up, next_down):
                 buf[..., lo:new_lo] = 0.0
                 buf[..., new_hi:hi] = 0.0
@@ -220,8 +237,8 @@ def _swap(bufs: list) -> None:
     bufs[:] = bufs[2], bufs[3], bufs[0], bufs[1]
 
 
-def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray, mirror: bool,
-                    t0: int, t1: int) -> None:
+def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray,
+                    dropped: np.ndarray, mirror: bool, t0: int, t1: int) -> None:
     """_numpy_steps through ckernel's lightcone_steps.
 
     The C loop steps two cones per buffer swap where it can, so it says
@@ -232,11 +249,12 @@ def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray, mi
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*field.trig_slice(n - 1), *field.trig_slice(n - 2))]
     if kernel(*(b.ctypes.data for b in bufs), rows, n, mirror, *(a.ctypes.data for a in tables),
-              t0, t1, _TINY, window.ctypes.data):
+              t0, t1, _TINY, window.ctypes.data, dropped.ctypes.data):
         _swap(bufs)
 
 
-def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts) -> WaveState:
+def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts,
+                trim_bound: float) -> WaveState:
     """The complex state from one walk and its mirror, or from walks of the named parts of psi."""
     psi_up = np.zeros(t + 1, dtype=complex)
     psi_down = np.zeros(t + 1, dtype=complex)
@@ -251,7 +269,7 @@ def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts) -
         for part, row_up, row_down in zip(parts, up, down):
             setattr(psi_up, part, row_up)
             setattr(psi_down, part, row_down)
-    return WaveState(t, psi_up, psi_down)
+    return WaveState(t, psi_up, psi_down, trim_bound)
 
 
 def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:

@@ -177,6 +177,7 @@ def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
     # the sweep's own manifest with one plan field changed, refused by SweepPlan
     ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
     ({"t_max": 100}, "t_max must be a positive power of two, got 100"),
+    ({"budget": "x"}, "budget must be an integer, got 'x'"),
 ])
 def test_fit_refuses_bad_manifest(capsys, tmp_path, text, problem):
     out_dir = tmp_path / "results"

@@ -19,7 +19,7 @@ from hierwalk import (
     read_samples_csv,
     run_sweep,
 )
-from hierwalk import walker
+from hierwalk import harness, walker
 from hierwalk.harness import (
     CELLS_HEADER,
     PhaseCell,
@@ -194,6 +194,7 @@ def test_emit_results_files_and_rerun_bytes(tmp_path):
     assert manifest["plan"]["base_seed"] == plan.base_seed
     assert manifest["plan"]["t_max"] == plan.t_max
     assert manifest["environment"] == {"light_cone_kernel": walker.light_cone_kernel(),
+                                       "light_cone_trim": walker._TINY,
                                        "python": platform.python_version(),
                                        "numpy": np.__version__}
 
@@ -234,7 +235,33 @@ def test_manifest_plan_is_the_sweep_plan(tmp_path):
     plan = small_disordered_plan(n_instances=1, t_max=2 ** 6, fit_window=(8, 64),
                                  psi_ic=(0.6, 0.8j))
     emit_results(run_sweep(plan), tmp_path)
-    assert read_manifest(tmp_path / "manifest.json") == plan
+    path = tmp_path / "manifest.json"
+    assert read_manifest(path) == plan
+    manifest = json.loads(path.read_text())
+    del manifest["environment"]["light_cone_trim"]  # as written before the trim was named
+    path.write_text(json.dumps(manifest))
+    assert read_manifest(path) == plan
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("budget", "x", "budget must be an integer, got 'x'"),
+    ("budget", 0, "budget must be a positive integer, got 0"),
+    ("n_instances", "2", "n_instances must be an integer, got '2'"),
+    ("t_max", True, "t_max must be an integer, got True"),
+    ("psi_ic", 5, "psi_ic must be a list of [re, im] pairs, got 5"),
+    ("epsilon_values", "0.8", "epsilon_values must be a sequence of numbers, got '0.8'"),
+    ("sample_times", [2, 4.5, 8], "sample_times must be a sequence of integers, got [2, 4.5, 8]"),
+    ("fit_window", 8, "fit_window must be a sequence of numbers, got 8"),
+], ids=["budget_text", "budget_zero", "n_instances", "t_max_bool", "psi_ic", "epsilon_values",
+        "sample_times", "fit_window"])
+def test_read_manifest_names_a_mistyped_field(tmp_path, field, value, problem):
+    manifest = harness._plan_manifest(small_disordered_plan(t_max=2 ** 6))
+    manifest["plan"][field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: {problem}"
 
 
 def test_samples_roundtrip_and_refit(tmp_path):

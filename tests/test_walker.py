@@ -135,28 +135,38 @@ def test_matches_dense_reference():
             assert d == pytest.approx(ref_down.get(x, 0j), abs=1e-13)
 
 
-def full_cone_reference_states(field, psi_ic, t_max):
-    """Yield (t, up, down) copies after each step, updating every slot of the cone.
+def full_cone_reference_states(field, psi_ic, t_max, tau):
+    """Yield (t, up, down, B) after each step, updating every slot of the cone.
 
-    The plain complex numpy light-cone loop without any window: the oracle
-    for the real, trimmed kernel (see assert_parts_match_oracle).
+    The plain complex numpy light-cone loop, the oracle for the real, trimmed
+    kernel, run twice in the rows of (2, t_max + 1) arrays: row 0 untrimmed,
+    row 1 trimmed by the kernel's rule. At every even cone row 1 zeros its edge
+    slots whose four parts are all below tau, and B sums the 2-norms it zeroed.
+    up and down are copies; B is row 1's.
     """
-    up = np.zeros(t_max + 1, dtype=complex)
-    down = np.zeros(t_max + 1, dtype=complex)
-    up[0], down[0] = psi_ic[0], psi_ic[1]
+    up = np.zeros((2, t_max + 1), dtype=complex)
+    down = np.zeros((2, t_max + 1), dtype=complex)
+    up[:, 0], down[:, 0] = psi_ic[0], psi_ic[1]
+    bound = 0.0
     for t in range(1, t_max + 1):
         c = t - 1
-        s, co = field.trig_slice(c)
-        cu = s * up[:t] + co * down[:t]
-        cd = co * up[:t] - s * down[:t]
         if c % 2 == 0:
-            cu[c // 2] = up[c // 2]
-            cd[c // 2] = down[c // 2]
-        up[1:t + 1] = cu
-        up[0] = 0.0
-        down[:t] = cd
-        down[t] = 0.0
-        yield t, up[:t + 1].copy(), down[:t + 1].copy()
+            parts = np.stack([up[1].real, up[1].imag, down[1].real, down[1].imag])[:, :t]
+            kept = np.flatnonzero(np.any(np.abs(parts) >= tau, axis=0))
+            cut = np.r_[0:kept[0], kept[-1] + 1:t]
+            bound += math.sqrt(np.sum(np.abs(up[1, cut]) ** 2 + np.abs(down[1, cut]) ** 2))
+            up[1, cut] = down[1, cut] = 0.0
+        s, co = field.trig_slice(c)
+        cu = s * up[:, :t] + co * down[:, :t]
+        cd = co * up[:, :t] - s * down[:, :t]
+        if c % 2 == 0:
+            cu[:, c // 2] = up[:, c // 2]
+            cd[:, c // 2] = down[:, c // 2]
+        up[:, 1:t + 1] = cu
+        up[:, 0] = 0.0
+        down[:, :t] = cd
+        down[:, t] = 0.0
+        yield t, up[:, :t + 1].copy(), down[:, :t + 1].copy(), bound
 
 
 ORACLE_FIELDS = [
@@ -166,20 +176,57 @@ ORACLE_FIELDS = [
 ]
 MIXED_IC = np.array([0.6, 0.8j])  # Im psi != swap(Re psi): two real walks on any field
 IMAG_IC = np.array([0, 1j])  # Re psi = 0: one walk, of Im psi
-SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # below it a square is subnormal or zero
+EPS = np.finfo(float).eps
 
 
-def assert_parts_match_oracle(got, ref):
-    """Exact where the oracle is zero or squares to a normal float; below that, within SQRT_TINY.
+def rounding(t):
+    """Allowance, in 2-norm, for the rounding that tells two unit-norm walks of t steps apart.
 
-    Dropping subnormal edges flips roundings of other tiny amplitudes, and
-    the flips cascade, so only amplitudes whose squares vanish may move.
+    A step rounds each coin product and each sum once, so it adds at most
+    2u(|s a| + |c b|) to a part from (a, b), with u = EPS / 2: at most
+    2 sqrt(2) u in 2-norm, by Cauchy-Schwarz. The rounded coins are unitary
+    to within u, so errors carry forward with growth (1 + u)^t ~ 1. Each of
+    the two walks rounds: 4 sqrt(2) u t < 4 t EPS.
     """
-    for g, r in ((got.real, ref.real), (got.imag, ref.imag)):
-        assert np.all(g[r == 0] == 0)
-        big = np.abs(r) >= SQRT_TINY
-        assert np.array_equal(g[big], r[big])
-        assert np.all(np.abs(g[~big] - r[~big]) < SQRT_TINY)
+    return 4 * t * EPS
+
+
+def sigma_rounding(t):
+    """Allowance for the rounding of sigma^2 itself, computed twice from states on t + 1 sites.
+
+    sigma^2 = sum x^2 rho - (sum x rho)^2 with |x| <= t and sum rho ~ 1; the
+    sums of t + 1 terms round by at most (t + 5) u relative, the square of the
+    mean doubles that: 3 (t + 6) u t^2 per evaluation.
+    """
+    return 3 * (t + 6) * t * t * EPS
+
+
+def assert_within_certificate(state, up, down, bound):
+    """A walk trimmed at walker._TINY against the oracle's rows at the same time.
+
+    Against the oracle trimmed by the same rule (row 1): every part bit for
+    bit and B to rounding. Against the untrimmed one (row 0): in exact
+    arithmetic unitarity bounds ||psi - psi_untrimmed||_2 by B, each trim's
+    loss carried forward unchanged in norm, so the distance may exceed B only
+    by rounding(t); and for states of unit norm on |x| <= t,
+    |sigma^2 - sigma_untrimmed^2| <= 6 t^2 ||psi - psi_untrimmed||_2. Exact
+    zeros of the untrimmed walk are exact zeros of the trimmed one.
+
+    Squares of dropped parts below sqrt(DBL_MIN) underflow, so B may miss up
+    to sqrt(count * DBL_MIN) ~ 1e-151 of the dropped norm for count < 2^24
+    dropped parts: far below rounding(t) >= 4 EPS ~ 1e-15, so it is ignored.
+    """
+    t = state.t
+    for got, ref in ((state.up, up), (state.down, down)):
+        assert np.array_equal(got, ref[1])
+        for g, r in ((got.real, ref[0].real), (got.imag, ref[0].imag)):
+            assert np.all(g[r == 0] == 0)
+    assert state.trim_bound == pytest.approx(bound, rel=1e-12, abs=0)
+    distance = math.sqrt(np.sum(np.abs(state.up - up[0]) ** 2 + np.abs(state.down - down[0]) ** 2))
+    assert distance <= state.trim_bound + rounding(t)
+    got, ref = sigma(state), sigma(WaveState(t, up[0], down[0]))
+    assert abs(got ** 2 - ref ** 2) <= 6 * t * t * (state.trim_bound + rounding(t)) + sigma_rounding(t)
+    return distance
 
 
 def oracle_cases(test):
@@ -190,16 +237,16 @@ def oracle_cases(test):
 
 @oracle_cases
 def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
-    checked = (1, 2, 31, 32, 33, 1000, 2048)  # first steps, around a rescan, and the end
     series = evolve(field, psi_ic, 2048)
-    ref_sigma = {}
-    for t, up, down in full_cone_reference_states(field, psi_ic, 2048):
-        ref_sigma[t] = sigma(WaveState(t, up, down))
-        if t in checked:
-            state = evolve_state(field, psi_ic, t)
-            assert_parts_match_oracle(state.up, up)
-            assert_parts_match_oracle(state.down, down)
-    assert all(s == ref_sigma[t] for t, s in zip(series.t, series.sigma))
+    # the sample times; the first steps, around a rescan, and the end among them
+    times = sorted({*series.t, 31, 33, 1000})
+    states = dict(zip(times, walker._iterate(field, walker._as_spinor(psi_ic), times)))
+    assert series.sigma.tobytes() == np.array([sigma(states[t]) for t in series.t]).tobytes()
+    for t, up, down, bound in full_cone_reference_states(field, psi_ic, 2048, walker._TINY):
+        if t in states:
+            assert_within_certificate(states[t], up, down, bound)
+    state = states[2048]
+    assert 0 < state.trim_bound < 1e-20
     if field.disorder.model == "extensive":  # localized: the cone is largely exact zeros
         nonzero = np.count_nonzero((state.up != 0) | (state.down != 0))
         assert nonzero / state.up.size < 0.7
@@ -208,6 +255,45 @@ def test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic):
 @oracle_cases
 def test_numpy_loop_matches_full_cone_oracle(field, psi_ic, numpy_loop):
     test_trimmed_kernel_matches_full_cone_oracle(field, psi_ic)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)
+def test_trim_bound_certifies_a_coarse_trim(field, monkeypatch):
+    """At tau = 1e-6 the dropped norm dwarfs rounding, so the certificate is put to a sharp test.
+
+    The walk must stay within B of the untrimmed one, and B must not be
+    loose by orders of magnitude.
+    """
+    monkeypatch.setattr(walker, "_TINY", 1e-6)
+    *_, (_, up, down, bound) = full_cone_reference_states(field, MIXED_IC, 1024, 1e-6)
+    state = evolve_state(field, MIXED_IC, 1024)
+    distance = assert_within_certificate(state, up, down, bound)
+    assert state.trim_bound > 1000 * rounding(1024)
+    assert distance > state.trim_bound / 100
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.disorder.model)
+def test_numpy_loop_trim_bound_certifies_a_coarse_trim(field, numpy_loop, monkeypatch):
+    test_trim_bound_certifies_a_coarse_trim(field, monkeypatch)
+
+
+@pytest.mark.parametrize("field", [CoinField(f.epsilon, f.disorder, 2 ** 13) for f in ORACLE_FIELDS],
+                         ids=lambda f: f.disorder.model)
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, MIXED_IC], ids=["default_ic", "mixed_ic"])
+def test_unitarity_and_trim_bound_per_regime(field, psi_ic, monkeypatch):
+    """Over 2^13 steps the norm drifts by under 1e-10 and the trim drops under 1e-20, on both loops.
+
+    The two loops certify the same B, bit for bit.
+    """
+    bounds = []
+    for numpy_loop in (False, True):
+        if numpy_loop:
+            monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+        state = evolve_state(field, psi_ic, 2 ** 13)
+        assert abs(1.0 - state.norm()) < 1e-10
+        assert 0 < state.trim_bound < 1e-20
+        bounds.append(state.trim_bound)
+    assert bounds[0] == bounds[1]
 
 
 class _TwoWalkField:
@@ -241,23 +327,24 @@ def test_one_walk_and_its_mirror_equal_two_real_walks(eps, model, W):
 
 
 def test_trim_leaves_exact_zeros_beyond_the_window():
-    """The subnormal edges a rescan drops are zeroed, not left behind.
+    """The edges a rescan drops are zeroed, not left behind.
 
-    On the Hadamard walk amplitudes fall below DBL_MIN at the cone edges from
-    t ~ 2000 on. The window is rescanned at every even cone and grows by one
-    slot per step, so the nonzero slots beyond the outermost amplitudes >=
-    DBL_MIN number at most 2 on each side; a longer rescan period fails here.
-    Odd and even t read different buffers.
+    On the Hadamard walk amplitudes fall below the trim threshold tau at the
+    cone edges from t ~ 200 on. The window is rescanned at every even cone and
+    grows by one slot per step, so the nonzero slots beyond the outermost
+    amplitudes >= tau number at most 2 on each side; the rescan period of 32
+    used before two cones per pass fails here. Odd and even t read different
+    buffers.
     """
     field = hadamard_field(4096)
     for t in (4095, 4096):
         state = evolve_state(field, DEFAULT_IC, t)
         parts = np.stack([state.up.real, state.up.imag, state.down.real, state.down.imag])
         nonzero = np.flatnonzero(np.any(parts != 0, axis=0))
-        normal = np.flatnonzero(np.any(np.abs(parts) >= np.finfo(float).tiny, axis=0))
+        kept = np.flatnonzero(np.any(np.abs(parts) >= walker._TINY, axis=0))
         assert nonzero[0] > 0 and nonzero[-1] < t  # the trim has dropped edge slots
-        assert normal[0] - nonzero[0] <= 2
-        assert nonzero[-1] - normal[-1] <= 2
+        assert kept[0] - nonzero[0] <= 2
+        assert nonzero[-1] - kept[-1] <= 2
 
 
 def test_numpy_loop_trim_leaves_exact_zeros_beyond_the_window(numpy_loop):
