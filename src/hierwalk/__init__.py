@@ -22,7 +22,6 @@ from .coins import (
 from .observables import (
     FitResult,
     SigmaSeries,
-    classify,
     classify_estimate,
     extrapolation_points,
     fit_inv_dw,
@@ -61,7 +60,6 @@ __all__ = [
     "hierarchy_index",
     "FitResult",
     "SigmaSeries",
-    "classify",
     "classify_estimate",
     "extrapolation_points",
     "fit_inv_dw",

@@ -33,7 +33,7 @@ from .harness import (
     write_csv,
     write_samples,
 )
-from .observables import DEFAULT_THRESHOLD, classify, extrapolation_points, fit_inv_dw
+from .observables import DEFAULT_THRESHOLD, classify_estimate, extrapolation_points, fit_inv_dw
 from .rgflow import PoleProximalError, absorbed_amplitude
 from .walker import DEFAULT_IC, evolve
 
@@ -118,7 +118,7 @@ def _cmd_simulate(args) -> int:
     print(f"stderr={_fmt(fit.stderr)}")
     print(f"window={_fmt(fit.window[0])},{_fmt(fit.window[1])}")
     print(f"n_points={fit.n_points}")
-    print(f"classification={classify(fit, args.threshold)}")
+    print(f"classification={classify_estimate(fit.inv_dw, fit.stderr, args.threshold)}")
     return 0
 
 

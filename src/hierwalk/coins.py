@@ -11,10 +11,17 @@ pi/4 everywhere (model "none"), one uniform draw per level shared by both signs
 of x (model "hierarchical", O(log L) draws), or one draw per site (model
 "extensive", O(L) draws). All draws come from a pinned PCG64 stream so a field
 is bit-reproducible from (epsilon, model, W, seed, half_width) alone.
+
+The walks read sin and cos of the site angles from tables built once per
+field. A field of shared levels takes sin and cos of its ~log2 L level
+angles only and gathers them through a table of site levels, cached per
+half_width; an extensive field takes them per site. Either way the tables
+are byte for byte np.sin and np.cos of angle_table().
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,12 +194,46 @@ class CoinField:
         L = self.half_width
         if not 0 <= cone <= L:
             raise ValueError(f"cone {cone} outside [0, {L}]")
-        if self._trig is None:  # per cone parity, built once: site x sits at index (x + L) // 2
-            tab = self.angle_table()
-            self._trig = tuple((np.sin(t), np.cos(t)) for t in (tab[L % 2::2], tab[1 - L % 2::2]))
+        if self._trig is None:
+            self._trig = self._trig_tables()
         s, c = self._trig[cone % 2]
         q0 = (L - cone) // 2
         return s[q0:q0 + cone + 1], c[q0:q0 + cone + 1]
+
+    def _trig_tables(self):
+        """(sin, cos) of the even sites' angles, then of the odd sites': site x at index (x + L) // 2.
+
+        Byte for byte np.sin and np.cos of angle_table()'s slices [L % 2::2]
+        and [1 - L % 2::2] (see the module docstring).
+        """
+        L = self.half_width
+        levels = _parity_levels(L)
+        if self._site_base is None:
+            angles = np.append(self._level_base * self._eps_pow, 0.0)
+            s, c = np.sin(angles), np.cos(angles)
+            return tuple((s[lev], c[lev]) for lev in levels)
+        eps_pow = np.append(self._eps_pow, 0.0)
+        angles = [self._site_base[p::2] * eps_pow[lev] for p, lev in zip((L % 2, 1 - L % 2), levels)]
+        angles[0][L // 2] = 0.0  # the origin, whose draw is unused
+        return tuple((np.sin(a), np.cos(a)) for a in angles)
+
+
+@functools.lru_cache(maxsize=8)
+def _parity_levels(half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hierarchy level of each even site -L + L % 2, ..., then of each odd site; the origin's is n_levels.
+
+    The layout of CoinField's trig tables. Cached per half_width, which the
+    fields of one sweep share; the arrays are read-only.
+    """
+    L = half_width
+    ax = np.abs(np.arange(-L, L + 1))
+    ax[L] = 1  # placeholder; the origin's level is set below
+    lev = (np.frexp((ax & -ax).astype(np.float64))[1] - 1).astype(np.intp)
+    lev[L] = L.bit_length()
+    out = tuple(np.ascontiguousarray(lev[p::2]) for p in (L % 2, 1 - L % 2))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def field_from_config(cfg: dict) -> CoinField:

@@ -248,8 +248,9 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     `hierwalk fit` runs on a samples.csv, so a refit reproduces them exactly.
 
     Jobs are independent; with workers > 1 (or the HIERWALK_WORKERS environment
-    variable) they run in a process pool. Results are merged in (cell, instance)
-    order regardless of scheduling, so outputs never depend on the worker count.
+    variable) they run in a process pool of at most one worker per job.
+    Results are merged in (cell, instance) order regardless of scheduling, so
+    outputs never depend on the worker count.
     """
     estimate = plan.estimated_updates()
     if estimate > plan.budget:
@@ -261,7 +262,13 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
         workers = _env_workers()
     keys = list(product(plan.epsilon_values, plan.W_values, range(plan.n_instances)))
     run = partial(_run_instance, plan)
+    workers = min(workers, len(keys))  # a worker with no job would only cost its fork
     if workers > 1:
+        # numpy loads numpy.random lazily, at the first draw. Loaded here, it
+        # is loaded once, and forked workers inherit it instead of each
+        # loading it at its first instance. `import hierwalk` does not load
+        # it, so that runs that start no pool do not pay for it up front.
+        import numpy.random  # noqa: F401
         with Pool(workers) as pool:
             series = pool.map(run, keys)
     else:

@@ -151,7 +151,3 @@ def classify_estimate(inv_dw: float, stderr: float, threshold: float = DEFAULT_T
     if inv_dw - 2.0 * stderr > threshold:
         return TRANSPORTING
     return INCONCLUSIVE
-
-
-def classify(fit: FitResult, threshold: float = DEFAULT_THRESHOLD) -> str:
-    return classify_estimate(fit.inv_dw, fit.stderr, threshold)

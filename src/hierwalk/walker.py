@@ -19,7 +19,14 @@ ${XDG_CACHE_HOME:-~/.cache}/hierwalk/. It steps the two cones between
 window rescans in one pass. Where no library can be built or loaded, the
 same loop runs in numpy one cone at a time, bit for bit; it is only slower.
 light_cone_kernel() says which one a process runs, and every sweep's
-manifest.json records it.
+manifest.json records it. A walk takes its trig tables' and buffers'
+addresses for the C loop once, not at every sample time.
+
+evolve builds no complex state: it sums sigma's moments from the real walks
+over the window, with one helper whatever the loop, so both loops give the
+same sigma bytes. Its summation order is not observables.sigma's over a
+WaveState, so the two differ in the last bits (3.7e-16 relative at most on
+the walks checked). evolve_state builds the complex WaveState.
 
 The trim is certified. Every rescan adds the 2-norm of the psi it drops to
 B (WaveState.trim_bound). The walk is unitary, so in exact arithmetic the
@@ -38,11 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .coins import CoinField
-from .observables import SigmaSeries, sigma
+from .observables import SigmaSeries
 
 DEFAULT_IC = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
 DEFAULT_IC.setflags(write=False)
@@ -143,33 +151,42 @@ def light_cone_kernel() -> str:
     return "numpy" if _load_kernel() is None else "compiled"
 
 
-def _iterate(field: CoinField, psi: np.ndarray, times):
-    """Yield the WaveState at each of the increasing times, stepping from the origin.
+def _real_walks(field: CoinField, psi: np.ndarray) -> tuple[bool, tuple]:
+    """(mirror, parts): whether one walk and its mirror image carry psi, and which parts of psi walk (see _windows)."""
+    mirror = bool(field.mirror_symmetric and psi.imag[0] == psi.real[1]
+                  and psi.imag[1] == psi.real[0])
+    parts = ("real",) if mirror else tuple(p for p in ("real", "imag") if getattr(psi, p).any())
+    return mirror, parts
+
+
+def _windows(field: CoinField, psi: np.ndarray, times, mirror: bool, parts):
+    """Yield (t, up, down, lo, hi, B) at each of the increasing times, stepping from the origin.
 
     Every coin is real, so Re psi and Im psi evolve as two independent real
-    walks, stepped together as rows of (rows, n) buffers. A part of psi that
-    is zero walks as zeros, so it is not stepped. On a mirror-symmetric
-    field a spinor with Im psi = swap(Re psi) needs one walk a, from Re psi:
-    the walk from Im psi is its mirror image b, with b(x) = (a_down(0),
-    a_up(0)) at the origin and elsewhere, at x = -t + 2q,
+    walks, stepped together as the rows of (rows, n) buffers: up and down
+    are those buffers, slot q of each row at site x = -t + 2q, and every
+    amplitude outside the window [lo, hi) is zero. They are overwritten by
+    the next step, so a consumer reads them before it asks for the next
+    time. A part of psi that is zero walks as zeros, so it is not stepped.
+    On a mirror-symmetric field a spinor with Im psi = swap(Re psi) needs
+    one walk a, from Re psi: the walk from Im psi is its mirror image b,
+    with b(x) = (a_down(0), a_up(0)) at the origin and elsewhere, at
+    x = -t + 2q,
 
         b_up[q] = (-1)^(t+1) sgn(x) a_down[t-q],  b_down[q] = (-1)^t sgn(x) a_up[t-q].
 
-    Only the window [lo, hi) of cone slots outside which every component of
-    psi is below _TINY (tau) is updated; at each rescan the slots it drops are
+    Only the window is updated: at every even cone it shrinks past the edge
+    slots where every component of psi is below _TINY (tau), those slots are
     zeroed, and the 2-norm of the psi they held is added to the certificate
-    B that each WaveState carries as trim_bound. A mirror walk counts its
-    mirror image's share too. A zero spinor stays zero under the coin, so
-    exact zeros never move. The squares of dropped parts below
-    sqrt(DBL_MIN) underflow, so B may miss up to sqrt(count * DBL_MIN), some
-    1e-151 for any count of parts a walk can drop: nothing next to rounding.
+    B. A mirror walk counts its mirror image's share too. A zero spinor
+    stays zero under the coin, so exact zeros never move. The squares of
+    dropped parts below sqrt(DBL_MIN) underflow, so B may miss up to
+    sqrt(count * DBL_MIN), some 1e-151 for any count of parts a walk can
+    drop: nothing next to rounding.
 
     The steps between sample times run in ckernel's compiled loop, or in
     _numpy_steps where it cannot be built; the two agree bit for bit.
     """
-    mirror = bool(field.mirror_symmetric and psi.imag[0] == psi.real[1]
-                  and psi.imag[1] == psi.real[0])
-    parts = ("real",) if mirror else tuple(p for p in ("real", "imag") if getattr(psi, p).any())
     n = times[-1] + 1
     # up, down, then the pair the next step writes into; that pair holds the
     # state before last, zero outside its window like up and down.
@@ -179,16 +196,43 @@ def _iterate(field: CoinField, psi: np.ndarray, times):
     window = np.array([0, 1], dtype=np.int64)
     dropped = np.zeros(1)
     kernel = _load_kernel()
+    if kernel is None:
+        steps = partial(_numpy_steps, field, bufs, window, dropped, mirror)
+    else:
+        steps = _compiled_steps(kernel, field, bufs, window, dropped, mirror)
     t = 0
     for due in times:
         due = int(due)
-        if kernel is None:
-            _numpy_steps(field, bufs, window, dropped, mirror, t, due)
-        else:
-            _compiled_steps(kernel, field, bufs, window, dropped, mirror, t, due)
+        steps(t, due)
         t = due
-        yield _wave_state(t, bufs[0][:, :t + 1], bufs[1][:, :t + 1], mirror, parts,
-                          float(dropped[0]))
+        yield t, bufs[0], bufs[1], int(window[0]), int(window[1]), float(dropped[0])
+
+
+def _iterate(field: CoinField, psi: np.ndarray, times):
+    """Yield the WaveState at each of the increasing times, stepping from the origin (see _windows)."""
+    mirror, parts = _real_walks(field, psi)
+    for t, up, down, _, _, bound in _windows(field, psi, times, mirror, parts):
+        yield _wave_state(t, up[:, :t + 1], down[:, :t + 1], mirror, parts, bound)
+
+
+def _window_sigma(t: int, up: np.ndarray, down: np.ndarray, lo: int, hi: int, mirror: bool) -> float:
+    """sigma of the state whose real walks are the rows of up and down, from their window [lo, hi).
+
+    rho = sum over rows of up^2 + down^2 is psi's density at x = -t + 2q. A
+    mirror walk's rho is A(x) + A(-x), with A the walk's own, so sum x rho
+    is 0 and sum x^2 rho is 2 sum x^2 A. Like observables.sigma,
+    sigma^2 = sum x^2 rho - (sum x rho)^2, unnormalized.
+    """
+    w = np.s_[:, lo:hi]
+    sq = up[w] * up[w]
+    sq += down[w] * down[w]
+    rho = sq[0] if len(sq) == 1 else sq[0] + sq[1]
+    x = np.arange(2 * lo - t, 2 * hi - t, 2, dtype=float)
+    second = float((x * x) @ rho)
+    if mirror:
+        return math.sqrt(2.0 * second)
+    mean = float(x @ rho)
+    return math.sqrt(max(second - mean * mean, 0.0))
 
 
 def _numpy_steps(field: CoinField, bufs: list, window: np.ndarray, dropped: np.ndarray,
@@ -238,19 +282,28 @@ def _swap(bufs: list) -> None:
 
 
 def _compiled_steps(kernel, field: CoinField, bufs: list, window: np.ndarray,
-                    dropped: np.ndarray, mirror: bool, t0: int, t1: int) -> None:
-    """_numpy_steps through ckernel's lightcone_steps.
+                    dropped: np.ndarray, mirror: bool):
+    """The stepper of one walk through ckernel's lightcone_steps: steps(t0, t1) acts as _numpy_steps.
 
-    The C loop steps two cones per buffer swap where it can, so it says
-    which buffer pair holds the state.
+    The tables' and buffers' addresses are taken once per walk. The C loop
+    steps two cones per buffer swap where it can, so it says which buffer
+    pair holds the state; the addresses rotate with the buffers.
     """
     rows, n = bufs[0].shape
-    # sin and cos of the cones of either parity, kept referenced during the call
+    # sin and cos of the cones of either parity
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*field.trig_slice(n - 1), *field.trig_slice(n - 2))]
-    if kernel(*(b.ctypes.data for b in bufs), rows, n, mirror, *(a.ctypes.data for a in tables),
-              t0, t1, _TINY, window.ctypes.data, dropped.ctypes.data):
-        _swap(bufs)
+    addresses = [b.ctypes.data for b in bufs]
+    fixed = (rows, n, mirror, *(a.ctypes.data for a in tables))
+    out = (_TINY, window.ctypes.data, dropped.ctypes.data)
+
+    def steps(t0: int, t1: int) -> None:
+        if kernel(*addresses, *fixed, t0, t1, *out):
+            _swap(bufs)
+            _swap(addresses)
+
+    steps.tables = tables  # the kernel reads them by address: keep them alive with the stepper
+    return steps
 
 
 def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts,
@@ -290,7 +343,9 @@ def evolve(field: CoinField, psi_ic, t_max: int, sample_times=None) -> SigmaSeri
     if sample_times is None:
         sample_times = default_sample_times(t_max)
     ts = _validated_sample_times(sample_times, t_max)
-    sigmas = np.array([sigma(state) for state in _iterate(field, psi, ts)])
+    mirror, parts = _real_walks(field, psi)
+    sigmas = np.array([_window_sigma(t, up, down, lo, hi, mirror)
+                       for t, up, down, lo, hi, _ in _windows(field, psi, ts, mirror, parts)])
     return SigmaSeries(
         t=ts,
         sigma=sigmas,

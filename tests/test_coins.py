@@ -180,6 +180,22 @@ def test_trig_slice_matches_angles():
         np.testing.assert_array_equal(c, np.cos(tab[sites + 32]))
 
 
+@pytest.mark.parametrize("half_width", [1, 2, 1024, 8192])
+@pytest.mark.parametrize("model, W", [
+    ("none", 0.0), ("hierarchical", 1.0), ("extensive", math.pi / 4), ("hierarchical", 3.0),
+    # the origin's draw is negative at half_width 1, 2 and 8192: its angle is +0.0, not base * 0
+    ("extensive", 3.0),
+], ids=["none", "hierarchical", "extensive", "obtuse", "extensive_obtuse"])
+def test_trig_tables_are_sin_and_cos_of_the_angle_table(model, W, half_width):
+    """Per-level (or per-parity) trig tables hold np.sin and np.cos of each parity's site angles, byte for byte."""
+    f = CoinField(0.6, DisorderSpec(model=model, W=W, seed=0), half_width)
+    tab = f.angle_table()
+    for cone, sites in ((half_width, tab[0::2]), (half_width - 1, tab[1::2])):  # both parities
+        s, c = f.trig_slice(cone)
+        assert s.tobytes() == np.sin(sites).tobytes()
+        assert c.tobytes() == np.cos(sites).tobytes()
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
 def test_distinct_seeds_differ_somewhere(seed_a, seed_b):

@@ -125,6 +125,39 @@ def test_run_sweep_deterministic_across_runs_and_workers():
         np.testing.assert_array_equal(ra.series.sigma, rc.series.sigma)
 
 
+def test_numpy_loop_run_sweep_deterministic_across_runs_and_workers(monkeypatch):
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)  # forked workers inherit it
+    test_run_sweep_deterministic_across_runs_and_workers()
+
+
+def test_run_sweep_starts_at_most_one_worker_per_job(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the jobs here: no process starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(harness, "Pool", RecordingPool)
+    plan = small_disordered_plan(epsilon_values=(0.8,), n_instances=4)
+    serial = run_sweep(plan, workers=1)
+    assert run_sweep(plan, workers=8).cells == serial.cells
+    run_sweep(plan, workers=3)
+    assert sizes == [4, 3]
+    run_sweep(small_disordered_plan(epsilon_values=(0.8,), n_instances=1), workers=8)
+    assert sizes == [4, 3]  # one job runs here, without a pool
+
+
 def test_worker_count_env_var(monkeypatch):
     from hierwalk.harness import WORKERS_ENV
 

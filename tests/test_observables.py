@@ -11,7 +11,6 @@ from hierwalk import (
     DisorderSpec,
     FitResult,
     SigmaSeries,
-    classify,
     classify_estimate,
     evolve_state,
     extrapolation_points,
@@ -208,5 +207,5 @@ def test_classify_examples():
 
 def test_classify_fit_result():
     fit = FitResult(inv_dw=0.4, log_amplitude=0.0, stderr=0.01, window=(1, 2), n_points=5)
-    assert classify(fit) == "transporting"
-    assert classify(fit, threshold=0.5) == "localized"
+    assert classify_estimate(fit.inv_dw, fit.stderr) == "transporting"
+    assert classify_estimate(fit.inv_dw, fit.stderr, threshold=0.5) == "localized"
