@@ -3,7 +3,8 @@
 `load()` returns the loop as a ctypes function, or None where it cannot be
 had: no compiler, a compile error, an unwritable cache or a library that will
 not load. Then `walker` steps the same loop in numpy. Nothing here runs at
-import.
+import. Both of walker's walks run on it: evolve_absorbing's passes
+origin = 0, its start site taking its table coin, and tiny = 0, no trim.
 
 The library is cached as ${XDG_CACHE_HOME:-~/.cache}/hierwalk/lightcone-<hash>.so,
 the hash taken over the C source and the compiler flags. It is written to a
@@ -96,7 +97,7 @@ static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
 }
 
 /* One step of one walk over the window [lo, hi), with the origin's identity
-   coin at slot q0 (pass -1 on odd cones). nd[hi] is not stored: it lies
+   coin at slot q0 (pass -1 on odd cones, or for no identity). nd[hi] is not stored: it lies
    beyond the older state's window, so it holds +0.0 already. */
 static void step(const double *restrict u, const double *restrict d,
                  double *restrict nu, double *restrict nd,
@@ -162,9 +163,10 @@ static void pair(const double *restrict u, const double *restrict d,
    run as one pair; an odd t0 or t1 takes a single step. Returns 1 if the
    state ends in next_up and next_down, 0 if in up and down. The sin and cos
    of cone c start at offset (n - 1 - c) / 2 of the tables for cone n - 1
-   (cone parity equal to that of n - 1) or cone n - 2 (the other). */
+   (cone parity equal to that of n - 1) or cone n - 2 (the other). The start
+   site, slot c / 2 of even cones, has the identity coin if origin is set. */
 int lightcone_steps(double *up, double *down, double *next_up, double *next_down,
-                    int64_t rows, int64_t n, int32_t mirror,
+                    int64_t rows, int64_t n, int32_t mirror, int32_t origin,
                     const double *sin_a, const double *cos_a,
                     const double *sin_b, const double *cos_b,
                     int64_t t0, int64_t t1, double tiny, int64_t *window,
@@ -180,7 +182,7 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
             double *const bufs[4] = {up, down, next_up, next_down};
             trim(bufs, rows, n, mirror, tiny, &lo, &hi, dropped);
         }
-        const int64_t q0 = c % 2 ? -1 : c / 2;  /* the origin's slot on even cones */
+        const int64_t q0 = c % 2 || !origin ? -1 : c / 2;  /* the origin's slot on even cones */
         const int64_t steps = c % 2 == 0 && c + 2 <= t1 ? 2 : 1;
         for (int64_t r = 0; r < rows; r++) {
             const int64_t o = r * n;
@@ -210,7 +212,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, _P, _P, _P, _P,
+_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P,
              _I64, _I64, ctypes.c_double, _P, _P)
 
 

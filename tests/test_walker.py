@@ -396,6 +396,19 @@ def test_compiled_loop_gives_the_numpy_loops_sigma_bytes(field, psi_ic, monkeypa
     assert compiled.sigma.tobytes() == evolve(field, psi_ic, 4096).sigma.tobytes()
 
 
+@both_loops
+def test_compiled_loop_gives_the_numpy_loops_absorption_bytes(field, psi_ic, monkeypatch):
+    """evolve_absorbing's records, signs of zeros included, on walls 2 to 4096 sites apart."""
+    if walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    cases = [(1, 5), (3, 64), (8, 700), (12, 256)]
+    compiled = [evolve_absorbing(field, l, psi_ic, t_max) for l, t_max in cases]
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    for (l, t_max), a in zip(cases, compiled):
+        b = evolve_absorbing(field, l, psi_ic, t_max)
+        assert a.right.tobytes() == b.right.tobytes() and a.left.tobytes() == b.left.tobytes()
+
+
 def test_step_rejects_cone_beyond_lattice():
     f = hadamard_field(4)
     assert evolve_state(f, DEFAULT_IC, 4).t == 4
@@ -457,6 +470,73 @@ def test_series_metadata_comes_from_field():
 
 
 # --- absorbing walls ---------------------------------------------------------
+
+
+def fixed_width_absorbing_reference(field, l, psi_ic, t_max):
+    """(right, left) records of the walk between absorbing walls, stepped on the box's sites alone.
+
+    The plain complex numpy loop over the interior sites 1..2^l - 1, the
+    oracle for evolve_absorbing's light-cone walk with sink coins: each step
+    applies the coins, shifts, then records and removes what reached a wall.
+    """
+    span = 1 << l
+    L = field.half_width
+    theta = field.angle_table()[L + 1:L + span]
+    s, co = np.sin(theta), np.cos(theta)
+    up = np.zeros(span + 1, dtype=complex)
+    down = np.zeros(span + 1, dtype=complex)
+    up[span // 2], down[span // 2] = psi_ic[0], psi_ic[1]
+    right = np.zeros((t_max, 2), dtype=complex)
+    left = np.zeros((t_max, 2), dtype=complex)
+    for t in range(t_max):
+        cu = s * up[1:span] + co * down[1:span]
+        cd = co * up[1:span] - s * down[1:span]
+        up[2:], up[1] = cu, 0.0
+        down[:span - 1], down[span - 1] = cd, 0.0
+        right[t, 0], up[span] = up[span], 0.0
+        left[t, 1], down[0] = down[0], 0.0
+    return right, left
+
+
+ABSORBING_FIELDS = [
+    CoinField(1.0, DisorderSpec(), 256),
+    CoinField(0.6, DisorderSpec(model="hierarchical", W=0.5, seed=5), 256),
+    # W > pi/4: some coins have sin or cos < 0
+    CoinField(0.8, DisorderSpec(model="hierarchical", W=3.0, seed=5), 256),
+    CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 256),
+]
+
+
+def absorbing_cases(test):
+    test = pytest.mark.parametrize("psi_ic", [DEFAULT_IC, RIGHT_IC, MIXED_IC, IMAG_IC],
+                                   ids=["default_ic", "right_ic", "mixed_ic", "imag_ic"])(test)
+    return pytest.mark.parametrize("field", ABSORBING_FIELDS,
+                                   ids=["none", "hierarchical", "obtuse", "extensive"])(test)
+
+
+@absorbing_cases
+def test_absorbing_walk_matches_fixed_width_oracle(field, psi_ic):
+    """The records equal the oracle's in value, bit for bit in every nonzero part.
+
+    Horizons before the first arrival at t = 2^(l-1), at it, and past
+    several reflections; 3 * 2^8 + 7 lies beyond the field's half-width.
+    Only the signs of exact zeros may differ.
+    """
+    for l in range(1, 9):
+        first = 1 << (l - 1)
+        for t_max in sorted({max(first - 1, 1), first, 3 * (1 << l) + 7}):
+            rec = evolve_absorbing(field, l, psi_ic, t_max)
+            for got, ref in zip((rec.right, rec.left),
+                                fixed_width_absorbing_reference(field, l, psi_ic, t_max)):
+                assert np.array_equal(got, ref)
+                got, ref = got.view(float), ref.view(float)
+                nonzero = (got != 0) | (ref != 0)
+                assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+
+
+@absorbing_cases
+def test_numpy_loop_absorbing_walk_matches_fixed_width_oracle(field, psi_ic, numpy_loop):
+    test_absorbing_walk_matches_fixed_width_oracle(field, psi_ic)
 
 
 def test_absorbing_l1_single_step():
