@@ -12,6 +12,15 @@ the parent's, and the pairs won. A pair is a parent run and a change run of
 the same workload and seed; the change wins it when its value is better in
 the metric's direction, and a tie counts for neither side. The environment
 blocks of each side's runs are kept, each distinct block once.
+
+Each metric also carries two verdicts:
+- claim_met: at least 10 pairs, at least nine tenths of them won, and the
+  change's median better than the parent's by more than the parent's IQR
+- no_regression: "no" when the change's median is worse than the parent's
+  by more than bound x the parent's median; else "unresolved" when the
+  parent's IQR exceeds bound x its median and not every change run beats
+  every parent run; else "yes"
+A workload run on one side only gets claim_met false and "unresolved".
 """
 
 from __future__ import annotations
@@ -52,8 +61,25 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def verdicts(entry: dict, parent: list, change: list, sign: int) -> dict:
+    """claim_met and no_regression of one metric's entry, given both sides' values (see the module docstring)."""
+    p, c, bound = entry["parent"], entry["change"], entry["bound"]
+    if not p or not c:
+        return {"claim_met": False, "no_regression": "unresolved"}
+    gain, iqr = sign * (c["median"] - p["median"]), p["q3"] - p["q1"]
+    if -gain > bound * p["median"]:
+        no_regression = "no"
+    elif iqr > bound * p["median"] and min(sign * v for v in change) <= max(sign * v for v in parent):
+        no_regression = "unresolved"
+    else:
+        no_regression = "yes"
+    pairs, won = entry["pairs"], entry["pairs_won"]
+    return {"claim_met": pairs >= 10 and 10 * won >= 9 * pairs and gain > iqr,
+            "no_regression": no_regression}
+
+
 def summarize(parent: dict, change: dict, metrics: list) -> dict:
-    """Per workload: both sides' spreads, the median ratio and the pairs won, per metric."""
+    """Per workload: both sides' spreads, the median ratio, the pairs won and the verdicts, per metric."""
     sides = {"parent": parent, "change": change}
     out = {}
     for workload in sorted({w for runs in sides.values() for w, _ in runs}):
@@ -69,8 +95,10 @@ def summarize(parent: dict, change: dict, metrics: list) -> dict:
         for m in metrics:
             name, sign = m["name"], (1 if m["better"] == "higher" else -1)
             entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
-            for side, runs in results.items():
-                entry[side] = spread([run["end_to_end"][name] for run in runs]) if runs else None
+            values = {side: [run["end_to_end"][name] for run in runs]
+                      for side, runs in results.items()}
+            for side, vals in values.items():
+                entry[side] = spread(vals) if vals else None
             entry["ratio"] = (entry["change"]["median"] / entry["parent"]["median"]
                               if entry["parent"] and entry["change"] else None)
             entry["pairs"] = len(paired)
@@ -78,6 +106,7 @@ def summarize(parent: dict, change: dict, metrics: list) -> dict:
                 sign * (change[(workload, s)]["end_to_end"][name]
                         - parent[(workload, s)]["end_to_end"][name]) > 0
                 for s in paired)
+            entry.update(verdicts(entry, values["parent"], values["change"], sign))
             table[name] = entry
         out[workload] = {"seeds": seeds, "environment": environment, "metrics": table}
     return out

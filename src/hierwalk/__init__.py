@@ -14,7 +14,6 @@ from .coins import (
     THETA0,
     CoinField,
     DisorderSpec,
-    build_coin,
     draw_base_angles,
     field_from_config,
     hierarchy_index,
@@ -54,7 +53,6 @@ __all__ = [
     "THETA0",
     "CoinField",
     "DisorderSpec",
-    "build_coin",
     "draw_base_angles",
     "field_from_config",
     "hierarchy_index",

@@ -33,7 +33,8 @@ from .harness import (
     write_csv,
     write_samples,
 )
-from .observables import DEFAULT_THRESHOLD, classify_estimate, extrapolation_points, fit_inv_dw
+from .observables import (DEFAULT_THRESHOLD, classify_estimate, extrapolation_points, fit_inv_dw,
+                          require_threshold)
 from .rgflow import PoleProximalError, absorbed_amplitude
 from .walker import DEFAULT_IC, evolve
 
@@ -100,6 +101,7 @@ def _output(path):
 
 
 def _cmd_simulate(args) -> int:
+    require_threshold(args.threshold)
     t_max = require_power_of_two("--t-max", args.t_max)
     field = field_from_config(_field_config(args, half_width=t_max))
     psi = _parse_psi_ic(args.psi_ic)
@@ -147,7 +149,10 @@ def _cmd_sweep(args) -> int:
         parts = cell_spec.split(",")
         if len(parts) != 2:
             raise ValueError(f"--extrapolation expects 'epsilon,W', got {cell_spec!r}")
-        eps, w = float(parts[0]), float(parts[1])
+        try:
+            eps, w = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"--extrapolation expects two numbers 'epsilon,W', got {cell_spec!r}") from None
         if eps not in plan.epsilon_values or w not in plan.W_values:
             raise ValueError(f"--extrapolation {cell_spec!r} is not a cell of the sweep grid")
         tables.append((eps, w, f"extrapolation_{parts[0].strip()}_{parts[1].strip()}.csv"))
@@ -163,6 +168,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.threshold is not None:
+        require_threshold(args.threshold)
     results_dir = Path(args.results_dir)
     samples = results_dir / "samples.csv"
     manifest_path = results_dir / "manifest.json"

@@ -12,11 +12,13 @@ of x (model "hierarchical", O(log L) draws), or one draw per site (model
 "extensive", O(L) draws). All draws come from a pinned PCG64 stream so a field
 is bit-reproducible from (epsilon, model, W, seed, half_width) alone.
 
-The walks read sin and cos of the site angles from tables built once per
-field. A field of shared levels takes sin and cos of its ~log2 L level
-angles only and gathers them through a table of site levels, cached per
-half_width; an extensive field takes them per site. Either way the tables
-are byte for byte np.sin and np.cos of angle_table().
+Every walk, the absorbing-wall walk included, reads the sin and cos of the
+site angles from two tables built once per field, one per parity of x
+(trig_slice). A field of shared levels takes sin and cos of its ~log2 L
+level angles only and gathers them through a table of site levels, cached
+per half_width; an extensive field takes them per site. Either way the
+tables are byte for byte np.sin and np.cos of base * epsilon^i, with the
+field's cumulative epsilon^i, and of 0 at the origin.
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ def require_power_of_two(name: str, value: int) -> int:
     if value < 1 or value & (value - 1):
         raise ValueError(f"{name} must be a positive power of two, got {value}")
     return value
-
-
-def build_coin(theta: float) -> np.ndarray:
-    """2x2 unitary coin [[sin, cos], [cos, -sin]] of angle theta.
-
-    Component order is (right-mover, left-mover). theta = pi/4 is the Hadamard
-    coin; theta -> 0 is a perfect reflector that swaps the two mover components.
-    """
-    s, c = math.sin(theta), math.cos(theta)
-    return np.array([[s, c], [c, -s]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -119,10 +111,11 @@ class CoinField:
 
     Base angles are stored per level (models "none" and "hierarchical"; one draw
     covers both signs of x) or per site ("extensive", ascending site order; the
-    origin's draw exists but is never used). Site angles are resolved lazily as
-    base * epsilon^level; the barrier factors epsilon^i are tabulated once by
-    cumulative multiplication so every access yields the same float. The origin
-    has no angle: its coin is the identity.
+    origin's draw exists but is never used). The barrier factors epsilon^i are
+    tabulated once by cumulative multiplication. A walk takes its coins from
+    the field's sin and cos tables of base * epsilon^level, built at the first
+    trig_slice call; level_angle gives one level's angle. The origin's coin is
+    the identity.
     """
 
     def __init__(self, epsilon: float, disorder: DisorderSpec, half_width: int):
@@ -157,34 +150,6 @@ class CoinField:
             raise ValueError(f"level {i} outside [0, {self.n_levels - 1}]")
         return float(self._level_base[i] * self._eps_pow[i])
 
-    def angle(self, x: int) -> float:
-        """Coin angle at a nonzero site x."""
-        if x == 0:
-            raise ValueError("the origin carries the identity coin, not an angled one")
-        if abs(x) > self.half_width:
-            raise ValueError(f"|x| = {abs(x)} outside the lattice (half_width {self.half_width})")
-        i = (x & -x).bit_length() - 1
-        if self._site_base is not None:
-            base = self._site_base[x + self.half_width]
-        else:
-            base = self._level_base[i]
-        return float(base * self._eps_pow[i])
-
-    def angle_table(self) -> np.ndarray:
-        """Per-site angles for x = -L..L (index x + L); the origin entry is 0 and unused."""
-        L = self.half_width
-        xs = np.arange(-L, L + 1)
-        ax = np.abs(xs)
-        ax[L] = 1  # placeholder; the origin entry is forced to 0 below
-        low = ax & -ax
-        lev = np.frexp(low.astype(np.float64))[1] - 1  # exact log2 of a power of two
-        if self._site_base is not None:
-            tab = self._site_base * self._eps_pow[lev]
-        else:
-            tab = self._level_base[lev] * self._eps_pow[lev]
-        tab[L] = 0.0
-        return tab
-
     def trig_slice(self, cone: int):
         """(sin, cos) views for the sites -cone..cone in steps of two.
 
@@ -203,8 +168,8 @@ class CoinField:
     def _trig_tables(self):
         """(sin, cos) of the even sites' angles, then of the odd sites': site x at index (x + L) // 2.
 
-        Byte for byte np.sin and np.cos of angle_table()'s slices [L % 2::2]
-        and [1 - L % 2::2] (see the module docstring).
+        Byte for byte np.sin and np.cos of the site angles base * epsilon^i
+        (0 at the origin), whichever way they are gathered.
         """
         L = self.half_width
         levels = _parity_levels(L)

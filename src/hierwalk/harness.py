@@ -30,6 +30,7 @@ from .observables import (
     classify_estimate,
     extrapolation_points,
     fit_inv_dw,
+    require_threshold,
     select_fit_window,
 )
 from .walker import (
@@ -117,8 +118,7 @@ class SweepPlan:
             raise ValueError("n_instances must be >= 1")
         if self.budget < 1:
             raise ValueError(f"budget must be a positive integer, got {self.budget}")
-        if not isinstance(self.threshold, (int, float)):
-            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
+        require_threshold(self.threshold)
         require_power_of_two("t_max", self.t_max)
         require_power_of_two("half_width", self.half_width)
         if self.t_max > self.half_width:
@@ -167,12 +167,6 @@ class SweepResult:
     plan: SweepPlan
     cells: tuple
     archive: tuple
-
-    def cell(self, epsilon: float, W: float) -> PhaseCell:
-        for c in self.cells:
-            if c.epsilon == epsilon and c.W == W:
-                return c
-        raise ValueError(f"no cell (epsilon={epsilon}, W={W}) in this sweep")
 
     def instances(self, epsilon: float, W: float) -> list[SigmaSeries]:
         out = [r.series for r in self.archive if r.epsilon == epsilon and r.W == W]

@@ -144,6 +144,15 @@ def predicted_inv_dw(epsilon: float) -> float:
     return 1.0 / (0.5 + 0.5 * math.log2(1.0 + epsilon ** -2))
 
 
+def require_threshold(threshold) -> float:
+    """threshold as a float, refused unless it is a finite int or float (not a bool)."""
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    return float(threshold)
+
+
 def classify_estimate(inv_dw: float, stderr: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     """Two-sigma decision of an intercept estimate against the localization threshold."""
     if inv_dw + 2.0 * stderr < threshold:

@@ -23,6 +23,7 @@ flagged, never regularized.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -89,7 +90,8 @@ def absorbed_amplitude(
 
     with S^A feeding the right wall (right-movers arrive there) and S^B the
     left. The result equals the generating function of the per-step arrival
-    amplitudes of the absorbing-wall walk on the same field.
+    amplitudes of the absorbing-wall walk on the same field. A non-finite z
+    is refused with ValueError.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -99,6 +101,8 @@ def absorbed_amplitude(
         )
     psi0, psi1 = (complex(v) for v in _as_spinor(psi_ic))
     a = b = complex(z)
+    if not cmath.isfinite(a):  # a NaN or infinite z supports no claim about the resolvent
+        raise ValueError(f"z must be finite, got {a}")
     m_ab = m_ba = 0j
     for k in range(l - 1):
         g00, g01, g10, g11 = _resolvent(_level_coin(field, k), m_ab, m_ba, cond_limit)

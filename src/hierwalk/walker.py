@@ -394,13 +394,15 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
 
     Amplitude arriving at a wall is recorded for that time step and removed, so
     nothing ever reflects back out of the wall sites. One light-cone walk,
-    the start site's own coin applied, untrimmed, with sink coins at and
-    beyond the walls (s = +1, c = 0 at x >= 2^l; s = -1, c = 0 at x <= 0):
-    they move an arrival outward unchanged (u + 0 d = u, 0 u + d = d) and
-    make no mover of the other direction. The arrival at time t sits
-    t_max - t sites past its wall at t_max, where the record is read, equal
-    in value to stepping the box alone in complex numpy (signs of exact
-    zeros aside). Cost: see the module docstring.
+    the start site's own coin applied, untrimmed. Inside the box its coins
+    are copied from the field's two parity tables (CoinField.trig_slice at
+    cones L and L - 1, L = half_width); the box never holds the origin.
+    Sink coins sit at and beyond the walls (s = +1, c = 0 at x >= 2^l;
+    s = -1, c = 0 at x <= 0): they move an arrival outward unchanged
+    (u + 0 d = u, 0 u + d = d) and make no mover of the other direction.
+    The arrival at time t sits t_max - t sites past its wall at t_max, where
+    the record is read, equal in value to stepping the box alone in complex
+    numpy (signs of exact zeros aside). Cost: see the module docstring.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -412,11 +414,15 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
                          f"beyond half_width {field.half_width}")
     psi = _as_spinor(psi_ic)
     start = span // 2
-    x = np.arange(start - t_max, start + t_max + 1)  # the sites within t_max of the start
-    box = (0 < x) & (x < span)
-    theta = field.angle_table()[field.half_width + x[box]]
-    s, co = np.sign(x - start).astype(float), np.zeros(len(x))  # the sink coins
-    s[box], co[box] = np.sin(theta), np.cos(theta)
+    x0 = start - t_max  # slot i of s and co is the site x0 + i, within t_max of the start
+    s, co = np.sign(np.arange(-t_max, t_max + 1)).astype(float), np.zeros(2 * t_max + 1)  # sinks
+    lo, hi = max(1, x0), min(span - 1, start + t_max)  # the box sites the walk reaches
+    for cone in (field.half_width, field.half_width - 1):  # the field's two parity tables
+        ts, tc = field.trig_slice(cone)  # site x at index (x + cone) // 2
+        first = lo + (lo - cone) % 2  # the first reachable box site of cone's parity
+        k = (hi - first) // 2 + 1  # their count: 0 when first = hi + 1; lo <= start <= hi
+        i, j = first - x0, (first + cone) // 2
+        s[i:i + 2 * k:2], co[i:i + 2 * k:2] = ts[j:j + k], tc[j:j + k]
 
     def trig_slice(cone: int):  # the sites start - cone .. start + cone in steps of two
         return s[t_max - cone:t_max + cone + 1:2], co[t_max - cone:t_max + cone + 1:2]

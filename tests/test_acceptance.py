@@ -116,8 +116,7 @@ def test_criterion_5_subextensive_suppression_with_barriers():
         t_max=2 ** 13,
     )
     result = run_sweep(plan)
-    low = result.cell(0.6, 0.2)
-    high = result.cell(0.6, 1.0)
+    low, high = (next(c for c in result.cells if (c.epsilon, c.W) == (0.6, W)) for W in (0.2, 1.0))
     ok = high.mean_inv_dw < low.mean_inv_dw
     _report(
         "5 (randomness suppresses transport at eps=0.6)", ok,

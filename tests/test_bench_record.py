@@ -59,6 +59,9 @@ def test_record_holds_spreads_ratios_and_pairs_won(root, tmp_path, capsys):
     assert wall["ratio"] == pytest.approx(2.0 / 3.5)
     # seeds 0, 1, 4 won; seed 2 tied (counts for neither); seed 3 lost
     assert (wall["pairs"], wall["pairs_won"]) == (5, 3)
+    # 5 pairs are too few for a claim; the parent's IQR 2.5 exceeds 0.25 x 3.5, and the
+    # change's 7.0 is slower than the parent's 1.0
+    assert (wall["claim_met"], wall["no_regression"]) == (False, "unresolved")
     ups = wl["metrics"]["updates_per_s"]
     assert ups["better"] == "higher" and ups["pairs_won"] == 3
     rss = wl["metrics"]["peak_rss_mb"]
@@ -77,6 +80,7 @@ def test_workload_run_on_one_side_only(root, tmp_path):
     rg = json.loads((root / "BENCH_1.json").read_text())["workloads"]["rg_crosscheck"]
     wall = rg["metrics"]["wall_s"]
     assert wall["parent"] is None and wall["ratio"] is None
+    assert (wall["claim_met"], wall["no_regression"]) == (False, "unresolved")
     assert wall["change"]["n"] == 1 and (wall["pairs"], wall["pairs_won"]) == (0, 0)
 
 
@@ -101,3 +105,45 @@ def test_refuses_ambiguous_or_incomplete_results(root, tmp_path, capsys, problem
     assert code == 1
     assert expected in capsys.readouterr().err
     assert not (root / "BENCH_2.json").exists()
+
+
+def wall_verdicts(root, tmp_path, parent_walls, change_walls):
+    """claim_met and no_regression of wall_s for runs paired by position."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, wall in enumerate(parent_walls):
+        write_result(parent, "phase_scan", seed, wall)
+    for seed, wall in enumerate(change_walls):
+        write_result(change, "phase_scan", seed, wall)
+    assert bench_record.main(["--pr", "3", "--parent", str(parent), "--change", str(change)],
+                             root=root) == 0
+    wall = json.loads((root / "BENCH_3.json").read_text())["workloads"]["phase_scan"]["metrics"]["wall_s"]
+    return wall["claim_met"], wall["no_regression"]
+
+
+TIGHT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # median 1.045, IQR 0.045
+
+
+@pytest.mark.parametrize("change, claim_met", [
+    ([0.8] * 9 + [1.5], True),  # 9 of 10 won, median 0.245 better than the parent's
+    ([0.8] * 8 + [1.5] * 2, False),  # 8 of 10 won
+    ([0.8] * 9, False),  # 9 pairs: too few
+    ([v - 0.03 for v in TIGHT], False),  # every pair won, but by less than the parent's IQR
+])
+def test_claim_met_needs_ten_pairs_nine_tenths_won_and_a_gain_beyond_the_parents_iqr(
+    root, tmp_path, change, claim_met,
+):
+    assert wall_verdicts(root, tmp_path, TIGHT[:len(change)], change)[0] is claim_met
+
+
+WIDE = [1.0, 1.0, 1.2, 1.6, 2.0, 2.0]  # median 1.4, IQR 0.85 > 0.25 x 1.4
+
+
+@pytest.mark.parametrize("parent, change, no_regression", [
+    (TIGHT, [v * 1.2 for v in TIGHT], "yes"),  # 20 % slower: within the bound 0.25
+    (TIGHT, [v * 1.3 for v in TIGHT], "no"),  # 30 % slower
+    (WIDE, [v * 1.3 for v in WIDE], "no"),  # worse beyond the bound, however wide the spread
+    (WIDE, [0.9, 0.9, 1.1, 1.5, 1.9, 1.9], "unresolved"),  # better median, but the runs overlap
+    (WIDE, [0.5, 0.5, 0.6, 0.7, 0.9, 0.95], "yes"),  # every change run beats every parent run
+])
+def test_no_regression_verdicts(root, tmp_path, parent, change, no_regression):
+    assert wall_verdicts(root, tmp_path, parent, change)[1] == no_regression

@@ -178,6 +178,8 @@ def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
     ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
     ({"t_max": 100}, "t_max must be a positive power of two, got 100"),
     ({"budget": "x"}, "budget must be an integer, got 'x'"),
+    # json writes and reads NaN, which strict JSON parsers refuse
+    ({"threshold": float("nan")}, "threshold must be finite, got nan"),
 ])
 def test_fit_refuses_bad_manifest(capsys, tmp_path, text, problem):
     out_dir = tmp_path / "results"
@@ -341,6 +343,7 @@ def _refuse_to_run(plan, workers=None):
     (("--t-lo", "5000", "--t-hi", "6000"), "need at least 3 points in window [5000.0, 6000.0]"),
     (("--extrapolation", "0.8"), "--extrapolation expects 'epsilon,W'"),
     (("--extrapolation", "0.6,0.5"), "'0.6,0.5' is not a cell of the sweep grid"),
+    (("--extrapolation", "abc,0.5"), "--extrapolation expects two numbers 'epsilon,W', got 'abc,0.5'"),
 ])
 def test_sweep_checks_fit_window_and_tables_before_running(
     capsys, tmp_path, monkeypatch, flags, problem,
@@ -405,3 +408,39 @@ def test_fit_names_file_and_line_of_record_out_of_time_order(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "samples.csv:2: sample times must be strictly increasing" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "fit"])
+def test_non_finite_threshold_is_refused_before_any_walk_or_read(
+    capsys, tmp_path, monkeypatch, command, value,
+):
+    monkeypatch.setattr("hierwalk.cli.run_sweep", _refuse_to_run)
+    monkeypatch.setattr("hierwalk.cli.evolve", _refuse_to_run)
+    monkeypatch.setattr("hierwalk.cli.read_manifest", _refuse_to_run)
+    out_dir = tmp_path / "results"
+    argv = {
+        "simulate": ("simulate", "--epsilon", "0.8", "--t-max", "256"),
+        "sweep": ("sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+                  "--instances", "2", "--t-max", "256", "--out-dir", str(out_dir)),
+        "fit": ("fit", "--results-dir", str(out_dir)),
+    }[command]
+    code, out, err = run_cli(capsys, *argv, f"--threshold={value}")
+    assert code == 1
+    assert out == ""
+    assert f"threshold must be finite, got {float(value)}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("z", [
+    ("--z-re", "0.1", "--z-re", "nan"),
+    ("--z-re", "0.1", "--z-re", "inf"),
+    ("--z-re", "0.1", "--z-im", "0.0", "--z-re", "0.3", "--z-im", "nan"),
+], ids=["re_nan", "re_inf", "im_nan"])
+def test_rg_refuses_non_finite_z_before_writing_a_row(capsys, tmp_path, z):
+    out = tmp_path / "rg.csv"
+    code, stdout, err = run_cli(capsys, "rg", "--l", "3", "--epsilon", "0.8", *z, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert "z must be finite" in err
+    assert not out.exists()

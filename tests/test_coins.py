@@ -9,13 +9,39 @@ from hierwalk import (
     THETA0,
     CoinField,
     DisorderSpec,
-    build_coin,
     draw_base_angles,
+    evolve_state,
     field_from_config,
     hierarchy_index,
 )
 
+from angle_oracle import site_angles
+
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def site_trig(field, x):
+    """(sin, cos) of site x's angle, read from the field's table of x's parity."""
+    cone = field.half_width - (x + field.half_width) % 2
+    s, c = field.trig_slice(cone)
+    return s[(x + cone) // 2], c[(x + cone) // 2]
+
+
+def build_coin(field, x):
+    """The 2x2 coin [[sin, cos], [cos, -sin]] that the walks apply at site x, in (right, left) order."""
+    s, c = site_trig(field, x)
+    return np.array([[s, c], [c, -s]])
+
+
+def assert_unitary_coins(field):
+    L = field.half_width
+    for cone in (L, L - 1):
+        s, c = field.trig_slice(cone)
+        assert np.abs(s * s + c * c - 1.0).max() < 1e-15
+    for x in range(-L, L + 1):
+        if x:
+            coin = build_coin(field, x)
+            assert np.abs(coin.T @ coin - np.eye(2)).max() < 1e-12
 
 
 def test_hierarchy_index_examples():
@@ -47,32 +73,38 @@ def test_hierarchy_roundtrip_and_oddness(x):
 
 
 def test_build_coin_hadamard():
-    np.testing.assert_allclose(build_coin(THETA0), HADAMARD, atol=1e-15)
+    f = CoinField(1.0, DisorderSpec(), 8)
+    for x in (-8, -3, 1, 2, 7):
+        np.testing.assert_allclose(build_coin(f, x), HADAMARD, atol=1e-15)
 
 
 def test_build_coin_full_transmission():
-    c = build_coin(math.pi / 2)
-    np.testing.assert_allclose(c, [[1, 0], [0, -1]], atol=1e-15)
+    """Level-0 angles drawn up to pi/2: the coin nears [[1, 0], [0, -1]] as its angle does."""
+    f = CoinField(1.0, DisorderSpec(model="extensive", W=math.pi / 4, seed=1), 4096)
+    sites = np.arange(-4095, 4096, 2)  # odd: level 0, where epsilon^0 = 1
+    x = int(sites[np.argmax(site_angles(f, sites))])
+    gap = math.pi / 2 - site_angles(f, [x])[0]
+    assert 0 < gap < 1e-3
+    np.testing.assert_allclose(build_coin(f, x), [[1, 0], [0, -1]], rtol=0, atol=gap)
 
 
 def test_build_coin_full_reflection():
-    c = build_coin(0.0)
-    np.testing.assert_allclose(c, [[0, 1], [1, 0]], atol=1e-15)
+    """High-level angles vanish as epsilon^i: the coin becomes the swap [[0, 1], [1, 0]]."""
+    f = CoinField(1e-4, DisorderSpec(model="hierarchical", W=0.5, seed=2), 64)
+    for x in (-64, -32, 32, 64):  # levels 5 and 6
+        np.testing.assert_allclose(build_coin(f, x), [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_build_coin_unitary_bulk():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 10_000):
-        c = build_coin(theta)
-        worst = max(worst, np.abs(c.conj().T @ c - np.eye(2)).max())
-    assert worst < 1e-12
+    for model, W in (("hierarchical", math.pi), ("extensive", math.pi)):
+        assert_unitary_coins(CoinField(0.7, DisorderSpec(model=model, W=W, seed=1), 4096))
 
 
-@given(st.floats(-10, 10))
-def test_build_coin_unitary_property(theta):
-    c = build_coin(theta)
-    assert np.abs(c.conj().T @ c - np.eye(2)).max() < 1e-12
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1e-3, 1.0), st.floats(0.0, math.pi), st.integers(0, 2 ** 64 - 1),
+       st.sampled_from(["hierarchical", "extensive"]))
+def test_build_coin_unitary_property(epsilon, W, seed, model):
+    assert_unitary_coins(CoinField(epsilon, DisorderSpec(model=model, W=W, seed=seed), 64))
 
 
 def test_draw_none_is_constant():
@@ -108,52 +140,61 @@ def test_disorder_spec_rejects_unknown_model():
 
 def test_coin_angle_barrier_decay():
     f = CoinField(0.6, DisorderSpec(), 64)
-    assert f.angle(12) == pytest.approx(THETA0 * 0.36, rel=1e-14)
-    assert f.angle(12) == pytest.approx(0.2827, abs=1e-4)
+    (theta,) = site_angles(f, [12])  # level 2
+    assert theta == f.level_angle(2) == pytest.approx(THETA0 * 0.36, rel=1e-14)
+    assert theta == pytest.approx(0.2827, abs=1e-4)
+    assert site_trig(f, 12) == (np.sin(theta), np.cos(theta))
 
 
 def test_epsilon_one_is_hadamard_everywhere():
     f = CoinField(1.0, DisorderSpec(), 64)
     for x in (-64, -5, -1, 1, 2, 12, 64):
-        assert f.angle(x) == THETA0
-        np.testing.assert_allclose(build_coin(f.angle(x)), HADAMARD, atol=1e-15)
+        assert site_angles(f, [x])[0] == f.level_angle(hierarchy_index(x).i) == THETA0
+        np.testing.assert_allclose(build_coin(f, x), HADAMARD, atol=1e-15)
 
 
 def test_hierarchical_level_draw_shared_across_signs():
     f = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.3, seed=11), 64)
-    assert f.angle(6) == f.angle(-6)  # both level 1, one draw per level
-    assert f.angle(6) == f.level_angle(1)
+    assert site_trig(f, 6) == site_trig(f, -6)  # both level 1, one draw per level
+    theta6, theta_6 = site_angles(f, [6, -6])
+    assert theta6 == theta_6 == f.level_angle(1)
 
 
 def test_field_determinism():
     spec = DisorderSpec(model="extensive", W=1.5, seed=2024)
     a = CoinField(0.7, spec, 256)
     b = CoinField(0.7, spec, 256)
-    np.testing.assert_array_equal(a.angle_table(), b.angle_table())
+    for cone in (256, 255):
+        for ta, tb in zip(a.trig_slice(cone), b.trig_slice(cone)):
+            assert ta.tobytes() == tb.tobytes()
 
 
 def test_angle_table_matches_scalar_path():
+    """The oracle's angle table is each site's level angle, level from hierarchy_index."""
     f = CoinField(0.7, DisorderSpec(model="hierarchical", W=0.9, seed=3), 128)
-    tab = f.angle_table()
+    tab = site_angles(f, range(-128, 129))
     for x in range(-128, 129):
         if x == 0:
             assert tab[128] == 0.0
         else:
-            assert tab[x + 128] == f.angle(x)
+            assert tab[x + 128] == f.level_angle(hierarchy_index(x).i)
 
 
 def test_origin_is_identity():
     f = CoinField(0.5, DisorderSpec(), 16)
     with pytest.raises(ValueError, match="identity coin"):
-        f.angle(0)
+        hierarchy_index(0)
+    # the walk's first step passes both components of the origin through unmixed
+    state = evolve_state(f, [1.0, 0.0], 1)
+    assert state.spinor_at(1) == (1.0, 0.0) and state.spinor_at(-1) == (0.0, 0.0)
 
 
 def test_out_of_range_rejected():
     f = CoinField(0.5, DisorderSpec(), 16)
     with pytest.raises(ValueError):
-        f.angle(17)
+        f.trig_slice(17)
     with pytest.raises(ValueError):
-        f.angle(-17)
+        f.trig_slice(-1)
 
 
 def test_epsilon_validation():
@@ -165,14 +206,17 @@ def test_epsilon_validation():
 
 def test_extensive_site_draws_differ_within_level():
     f = CoinField(1.0, DisorderSpec(model="extensive", W=1.0, seed=8), 64)
-    assert f.angle(1) != f.angle(3)  # same level, independent site draws
+    theta1, theta3 = site_angles(f, [1, 3])
+    assert theta1 != theta3  # same level, independent site draws
+    assert site_trig(f, 1) == (np.sin(theta1), np.cos(theta1))
+    assert site_trig(f, 3) == (np.sin(theta3), np.cos(theta3))
     with pytest.raises(ValueError):
         f.level_angle(0)
 
 
 def test_trig_slice_matches_angles():
     f = CoinField(0.9, DisorderSpec(model="extensive", W=0.4, seed=6), 32)
-    tab = f.angle_table()
+    tab = site_angles(f, range(-32, 33))
     for cone in (0, 1, 2, 3, 7, 8, 31, 32):
         s, c = f.trig_slice(cone)
         sites = np.arange(-cone, cone + 1, 2)
@@ -189,7 +233,7 @@ def test_trig_slice_matches_angles():
 def test_trig_tables_are_sin_and_cos_of_the_angle_table(model, W, half_width):
     """Per-level (or per-parity) trig tables hold np.sin and np.cos of each parity's site angles, byte for byte."""
     f = CoinField(0.6, DisorderSpec(model=model, W=W, seed=0), half_width)
-    tab = f.angle_table()
+    tab = site_angles(f, range(-half_width, half_width + 1))
     for cone, sites in ((half_width, tab[0::2]), (half_width - 1, tab[1::2])):  # both parities
         s, c = f.trig_slice(cone)
         assert s.tobytes() == np.sin(sites).tobytes()

@@ -81,6 +81,11 @@ def test_plan_validation():
         SweepPlan(**{**FAST_PLAN, "base_seed": 7.0})
     with pytest.raises(ValueError, match="threshold must be a number, got '0.1'"):
         SweepPlan(**{**FAST_PLAN, "threshold": "0.1"})
+    with pytest.raises(ValueError, match="threshold must be a number, got True"):
+        SweepPlan(**{**FAST_PLAN, "threshold": True})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {value}"):
+            SweepPlan(**{**FAST_PLAN, "threshold": value})
 
 
 def test_plan_instance_seeds_are_offsets():

@@ -12,10 +12,16 @@ from hierwalk import (
     DisorderSpec,
     PoleProximalError,
     absorbed_amplitude,
-    build_coin,
     evolve_absorbing,
 )
 from hierwalk.rgflow import COND_LIMIT, _resolvent
+
+
+def build_coin(theta):
+    """The 2x2 coin [[sin, cos], [cos, -sin]] of angle theta, in (right-mover, left-mover) order."""
+    s, c = math.sin(theta), math.cos(theta)
+    return np.array([[s, c], [c, -s]], dtype=complex)
+
 
 HADAMARD = build_coin(THETA0)
 SYMMETRIC_IC = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
@@ -290,6 +296,13 @@ def test_absorbed_amplitude_rejects_bad_l():
     field = CoinField(1.0, DisorderSpec(), 8)
     with pytest.raises(ValueError):
         absorbed_amplitude(0, field, 0.3, SYMMETRIC_IC)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf])
+def test_absorbed_amplitude_rejects_non_finite_z(z):
+    field = CoinField(1.0, DisorderSpec(), 8)
+    with pytest.raises(ValueError, match="z must be finite"):
+        absorbed_amplitude(2, field, z, SYMMETRIC_IC)
 
 
 def test_absorbed_amplitude_rejects_unnormalized_spinor():

@@ -18,6 +18,8 @@ from hierwalk import (
 )
 from hierwalk import walker
 
+from angle_oracle import site_angles
+
 RIGHT_IC = np.array([1.0, 0.0])
 
 
@@ -38,6 +40,7 @@ def dense_reference_run(field, psi_ic, t_max):
     parity bookkeeping at all.
     """
     L = field.half_width
+    theta = site_angles(field, range(-L, L + 1))  # theta[x + L]
     up = {0: complex(psi_ic[0])}
     down = {0: complex(psi_ic[1])}
     for _ in range(t_max):
@@ -48,7 +51,7 @@ def dense_reference_run(field, psi_ic, t_max):
             if x == 0:
                 cu, cd = u, d
             else:
-                th = field.angle(x)
+                th = theta[x + L]
                 cu = math.sin(th) * u + math.cos(th) * d
                 cd = math.cos(th) * u - math.sin(th) * d
             if abs(x + 1) <= L:
@@ -480,8 +483,7 @@ def fixed_width_absorbing_reference(field, l, psi_ic, t_max):
     applies the coins, shifts, then records and removes what reached a wall.
     """
     span = 1 << l
-    L = field.half_width
-    theta = field.angle_table()[L + 1:L + span]
+    theta = site_angles(field, range(1, span))
     s, co = np.sin(theta), np.cos(theta)
     up = np.zeros(span + 1, dtype=complex)
     down = np.zeros(span + 1, dtype=complex)
