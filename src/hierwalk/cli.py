@@ -1,7 +1,7 @@
 """Command-line interface: simulate, sweep, fit, and rg subcommands.
 
 Physics parameters are always explicit flags or config-file keys; the only
-environment control is HIERWALK_WORKERS for the sweep worker pool. Every
+environment control is HIERWALK_WORKERS, the number of sweep workers. Every
 rejected precondition exits with a nonzero status.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from itertools import product
 from pathlib import Path
@@ -221,6 +222,7 @@ def _cmd_rg(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hierwalk",

@@ -5,6 +5,11 @@ averages sigma(t) over instances at each sample time, fits the extrapolation
 line to the averaged series, and classifies each cell. Instance m of every
 cell uses seed base_seed + m, so a plan pins every random draw; results are
 byte-identical across reruns and worker counts.
+
+With more than one worker, jobs run in child processes forked with os.fork,
+which take job indices from one shared pipe and send their results back
+through a pipe each. A worker's exception is raised in the caller, a worker
+that dies without reporting is an error, and no child outlives the sweep.
 """
 
 from __future__ import annotations
@@ -12,11 +17,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import platform
+import select
+import selectors
+import signal
+import traceback
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import partial
 from itertools import product
-from multiprocessing import Pool
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -235,6 +243,106 @@ def _env_workers() -> int:
     return workers
 
 
+def _fork_map(run, n_jobs: int, workers: int) -> list:
+    """[run(i) for i in range(n_jobs)], computed in `workers` forked children.
+
+    Job indices go out through one pipe, 4 bytes each; every worker reads them
+    one at a time until EOF. A read under PIPE_BUF is atomic, so each job goes
+    to exactly one worker, whichever is free. At EOF a worker pickles its
+    (index, result) pairs into its own result pipe, which is read as data
+    arrives. The first worker exception to arrive is raised here; a worker
+    that dies without reporting raises RuntimeError naming its wait status.
+    Every child is reaped, or killed and reaped, before this returns or raises.
+    """
+    jobs_r, jobs_w = os.pipe()
+    fds = {jobs_r, jobs_w}  # open in this process
+
+    def close(fd):
+        os.close(fd)
+        fds.discard(fd)
+
+    pids = {}  # read end of a worker's result pipe -> its pid, until reaped
+    try:
+        for _ in range(workers):
+            res_r, res_w = os.pipe()
+            fds |= {res_r, res_w}
+            pid = os.fork()
+            if pid == 0:
+                _worker(run, jobs_r, jobs_w, res_w)  # never returns
+            pids[res_r] = pid
+            close(res_w)
+        close(jobs_r)  # with no reader left, a write fails instead of blocking
+        data = b"".join(i.to_bytes(4, "little") for i in range(n_jobs))
+        try:
+            for start in range(0, len(data), select.PIPE_BUF):
+                os.write(jobs_w, data[start:start + select.PIPE_BUF])
+        except BrokenPipeError:  # every worker has died; their wait statuses say how
+            pass
+        close(jobs_w)
+        merged = {}
+        with selectors.DefaultSelector() as selector:
+            for fd in pids:
+                selector.register(fd, selectors.EVENT_READ, [])
+            while selector.get_map():
+                for key, _ in selector.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        key.data.append(chunk)
+                        continue
+                    selector.unregister(key.fd)
+                    close(key.fd)
+                    pid = pids.pop(key.fd)
+                    status = os.waitpid(pid, 0)[1]
+                    merged.update(_worker_results(pid, status, b"".join(key.data)))
+        return [merged[i] for i in range(n_jobs)]
+    finally:
+        for pid in pids.values():  # left only when something raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _worker_results(pid: int, status: int, payload: bytes) -> list:
+    """The (index, result) pairs a reaped worker sent, or the error it sent or died of."""
+    if status != 0 or not payload:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit code {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+        raise RuntimeError(f"sweep worker {pid} died without sending its results "
+                           f"(wait status {status}: {how})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        exc, remote = value
+        raise exc from RuntimeError(f"in sweep worker {pid}:\n{remote}")
+    return value
+
+
+def _worker(run, jobs_r: int, jobs_w: int, res_w: int) -> None:
+    """Body of a forked sweep worker: run jobs from the job pipe, report, os._exit."""
+    status = 1
+    try:
+        os.close(jobs_w)  # else the job pipe never reaches EOF
+        try:
+            done = []
+            while len(raw := os.read(jobs_r, 4)) == 4:
+                i = int.from_bytes(raw, "little")
+                done.append((i, run(i)))
+            payload = pickle.dumps((True, done))
+        except Exception as exc:  # reported to the parent, which raises it
+            remote = traceback.format_exc()
+            try:
+                payload = pickle.dumps((False, (exc, remote)))
+                pickle.loads(payload)
+            except Exception:  # e.g. an __init__ that needs more than the exception's args
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                payload = pickle.dumps((False, (exc, remote)))
+        with open(res_w, "wb") as f:
+            f.write(payload)
+        status = 0
+    finally:
+        os._exit(status)  # never unwind into the caller or flush inherited buffers
+
+
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     """Run every (cell, instance) job of the plan and aggregate per cell.
 
@@ -242,7 +350,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     `hierwalk fit` runs on a samples.csv, so a refit reproduces them exactly.
 
     Jobs are independent; with workers > 1 (or the HIERWALK_WORKERS environment
-    variable) they run in a process pool of at most one worker per job.
+    variable) they run in at most one forked worker per job (see _fork_map).
     Results are merged in (cell, instance) order regardless of scheduling, so
     outputs never depend on the worker count.
     """
@@ -255,18 +363,19 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     if workers is None:
         workers = _env_workers()
     keys = list(product(plan.epsilon_values, plan.W_values, range(plan.n_instances)))
-    run = partial(_run_instance, plan)
     workers = min(workers, len(keys))  # a worker with no job would only cost its fork
     if workers > 1:
+        if not hasattr(os, "fork"):
+            raise ValueError(f"{workers} sweep workers need os.fork, which this platform "
+                             f"lacks; set {WORKERS_ENV}=1")
         # numpy loads numpy.random lazily, at the first draw. Loaded here, it
         # is loaded once, and forked workers inherit it instead of each
         # loading it at its first instance. `import hierwalk` does not load
-        # it, so that runs that start no pool do not pay for it up front.
+        # it, so that runs that fork no worker do not pay for it up front.
         import numpy.random  # noqa: F401
-        with Pool(workers) as pool:
-            series = pool.map(run, keys)
+        series = _fork_map(lambda i: _run_instance(plan, keys[i]), len(keys), workers)
     else:
-        series = [run(key) for key in keys]
+        series = [_run_instance(plan, key) for key in keys]
     archive = tuple(
         InstanceRecord(epsilon=e, W=w, instance=m, series=s)
         for (e, w, m), s in zip(keys, series)
@@ -310,7 +419,7 @@ def _plan_manifest(plan: SweepPlan) -> dict:
         "generator": "numpy PCG64",
         "seed_rule": "instance seed = (base_seed + instance_index) mod 2^64",
         "plan": {**asdict(plan), "psi_ic": [[a.real, a.imag] for a in plan.psi_ic]},
-        # pool workers load the kernel from the same cache as this process; the
+        # sweep workers load the kernel from the same cache as this process; the
         # trim threshold tau only moves the last bits of sigma, so a refit ignores it
         "environment": {"light_cone_kernel": light_cone_kernel(), "light_cone_trim": _TINY,
                         "python": platform.python_version(), "numpy": np.__version__},

@@ -444,3 +444,16 @@ def test_rg_refuses_non_finite_z_before_writing_a_row(capsys, tmp_path, z):
     assert stdout == ""
     assert "z must be finite" in err
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_values_between_parses():
+    from hierwalk.cli import build_parser
+
+    parser = build_parser()
+    assert build_parser() is parser
+    argv = ["sweep", "--model", "none", "--W", "0", "--out-dir", "x"]
+    first = parser.parse_args(argv + ["--epsilon", "0.8", "--epsilon", "0.6"])
+    second = parser.parse_args(argv + ["--epsilon", "1.0"])
+    assert first.epsilon == [0.8, 0.6]
+    assert second.epsilon == [1.0]
+    assert second.extrapolation is None

@@ -2,7 +2,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import platform
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,8 @@ from hierwalk.harness import (
     write_csv,
     write_samples,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FAST_PLAN = dict(
     epsilon_values=(1.0,),
@@ -135,32 +143,169 @@ def test_numpy_loop_run_sweep_deterministic_across_runs_and_workers(monkeypatch)
     test_run_sweep_deterministic_across_runs_and_workers()
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_sweep_starts_at_most_one_worker_per_job(monkeypatch):
-    sizes = []
+    forks = []
+    fork = os.fork
 
-    class RecordingPool:
-        """Records the pool size asked for and runs the jobs here: no process starts."""
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(harness, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "fork", recording_fork)
     plan = small_disordered_plan(epsilon_values=(0.8,), n_instances=4)
     serial = run_sweep(plan, workers=1)
+    assert forks == []
     assert run_sweep(plan, workers=8).cells == serial.cells
-    run_sweep(plan, workers=3)
-    assert sizes == [4, 3]
+    assert len(forks) == 4
+    assert run_sweep(plan, workers=3).cells == serial.cells
+    assert len(forks) == 7
     run_sweep(small_disordered_plan(epsilon_values=(0.8,), n_instances=1), workers=8)
-    assert sizes == [4, 3]  # one job runs here, without a pool
+    assert len(forks) == 7  # one job runs here, without a fork
+    assert_no_child_left()
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    run_instance = harness._run_instance
+
+    def failing(plan, key):
+        if key[2] == 2:
+            raise ValueError(f"no walk for instance {key[2]}")
+        return run_instance(plan, key)
+
+    monkeypatch.setattr(harness, "_run_instance", failing)
+    with pytest.raises(ValueError, match="no walk for instance 2") as err:
+        run_sweep(small_disordered_plan(), workers=2)
+    remote = str(err.value.__cause__)
+    assert "in sweep worker" in remote and "in failing" in remote  # the worker's traceback
+    assert_no_child_left()
+
+
+class Unloadable(Exception):
+    """Pickles, but does not unpickle: its args hold the message only."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+
+
+def test_unpicklable_worker_exception_keeps_its_type_and_message(monkeypatch):
+    def failing(plan, key):
+        raise Unloadable("kept message", 1)
+
+    monkeypatch.setattr(harness, "_run_instance", failing)
+    with pytest.raises(RuntimeError, match="Unloadable: kept message"):
+        run_sweep(small_disordered_plan(), workers=2)
+    assert_no_child_left()
+
+
+def test_failing_worker_stops_the_others(monkeypatch):
+    run_instance = harness._run_instance
+
+    def jobs(plan, key):
+        if key[2] == 0:
+            time.sleep(60)  # the other worker takes instance 1 meanwhile
+        if key[2] == 1:
+            raise ValueError("instance 1 failed")
+        return run_instance(plan, key)
+
+    monkeypatch.setattr(harness, "_run_instance", jobs)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="instance 1 failed"):
+        run_sweep(small_disordered_plan(epsilon_values=(0.8,)), workers=2)
+    assert time.perf_counter() - start < 30  # the sleeping worker was killed, not awaited
+    assert_no_child_left()
+
+
+def run_python(code, *args):
+    """Lines printed by `code` in a child interpreter; a run that hangs fails on the timeout.
+
+    The interpreter leads its own process group, so a timeout kills its sweep workers too.
+    """
+    with subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True,
+                          env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0, err
+    return out.splitlines()
+
+
+SHARED_JOB_PIPE = """
+import os, sys
+from hierwalk import harness
+
+def job(i):
+    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    os.write(fd, f"{i}\\n".encode())  # one O_APPEND write per job: lines never interleave
+    os.close(fd)
+    return i * i
+
+print(harness._fork_map(job, 5000, 8) == [i * i for i in range(5000)])
+"""
+
+
+def test_more_workers_than_cores_take_each_job_exactly_once(tmp_path):
+    # 5000 indices fill five PIPE_BUF writes to the job pipe that 8 workers share
+    log = tmp_path / "jobs.log"
+    assert run_python(SHARED_JOB_PIPE, str(log)) == ["True"]
+    assert sorted(int(line) for line in log.read_text().split()) == list(range(5000))
+
+
+DYING_WORKER = """
+import os, signal
+from hierwalk import SweepPlan, harness, run_sweep
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return "no child left"
+    return "a child is left"
+
+plan = SweepPlan(epsilon_values=(1.0, 0.8), W_values=(0.5,), model="hierarchical",
+                 n_instances=3, base_seed=100, t_max=2 ** 9)
+run_sweep(plan, workers=2)
+print(no_child_left())
+run_instance = harness._run_instance
+
+def dying(plan, key):
+    if key[2] == 1:
+        {death}
+    return run_instance(plan, key)
+
+harness._run_instance = dying
+try:
+    run_sweep(plan, workers=2)
+except RuntimeError as exc:
+    print(exc)
+print(no_child_left())
+"""
+
+
+@pytest.mark.parametrize("death, status", [
+    ("os._exit(3)", "exit code 3"),
+    ("os.kill(os.getpid(), signal.SIGKILL)", "signal SIGKILL"),
+])
+def test_dead_worker_raises_instead_of_hanging(death, status):
+    clean, died, clean_after = run_python(DYING_WORKER.format(death=death))
+    assert "died without sending its results" in died and status in died
+    assert clean == clean_after == "no child left"
+
+
+def test_several_workers_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(harness, "_run_instance", None)  # fails if a walk starts
+    with pytest.raises(ValueError, match=r"os\.fork.*HIERWALK_WORKERS=1"):
+        run_sweep(small_disordered_plan(), workers=2)
 
 
 def test_worker_count_env_var(monkeypatch):

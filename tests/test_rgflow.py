@@ -14,6 +14,7 @@ from hierwalk import (
     absorbed_amplitude,
     evolve_absorbing,
 )
+from hierwalk import rgflow
 from hierwalk.rgflow import COND_LIMIT, _resolvent
 
 
@@ -54,14 +55,18 @@ def _matrix_resolvent(coin, sm, cond_limit):
     return g
 
 
-def matrix_amplitude(l, field, z, psi, cond_limit=COND_LIMIT):
+def matrix_amplitude(l, field, z, psi, cond_limit=COND_LIMIT, level_coin=None):
+    """Oracle; level_coin(k) gives the level-k 2x2 coin, by default build_coin of its angle."""
+    if level_coin is None:
+        def level_coin(k):
+            return build_coin(field.level_angle(k))
     sa = np.array([[z, 0], [0, 0]], dtype=complex)
     sb = np.array([[0, 0], [0, z]], dtype=complex)
     sm = np.zeros((2, 2), dtype=complex)
     for k in range(l - 1):
-        g = _matrix_resolvent(build_coin(field.level_angle(k)), sm, cond_limit)
+        g = _matrix_resolvent(level_coin(k), sm, cond_limit)
         sa, sb, sm = sa @ g @ sa, sb @ g @ sb, sm + sa @ g @ sb + sb @ g @ sa
-    g = _matrix_resolvent(build_coin(field.level_angle(l - 1)), sm, cond_limit)
+    g = _matrix_resolvent(level_coin(l - 1), sm, cond_limit)
     return sa @ g @ psi, sb @ g @ psi
 
 
@@ -113,6 +118,34 @@ def test_matches_matrix_recursion_on_random_fields():
             np.testing.assert_allclose(rg, oracle, rtol=1e-12, atol=0)
             assert np.count_nonzero(rg) <= 1  # right holds only up, left only down
     assert 0 < poles < 400  # both outcomes exercised
+
+
+def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
+    # Every coin the package builds is symmetric (c01 == c10), which makes G symmetric and
+    # hides a swap of g01 and g10. Rotations are real, invertible, and have c01 = -c10.
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(200):
+        l = int(rng.integers(2, 10))
+        angles = rng.uniform(0.1, math.pi - 0.1, l)
+        coins = [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                 for a in angles]
+        monkeypatch.setattr(rgflow, "_level_coin", lambda field, k: tuple(coins[k].ravel()))
+        field = UniformLevels(THETA0, l)  # its level angles go unused
+        z = complex(*rng.uniform(-0.6, 0.6, 2))
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        got = _outcome(absorbed_amplitude, l, field, z, psi)
+        want = _outcome(matrix_amplitude, l, field, z, psi, COND_LIMIT,
+                        lambda k: coins[k].astype(complex))
+        if isinstance(want, PoleProximalError):
+            assert isinstance(got, PoleProximalError)
+            continue
+        assert not isinstance(got, PoleProximalError), got
+        for rg, oracle in zip(got, want):
+            np.testing.assert_allclose(rg, oracle, rtol=1e-12, atol=0)
+        checked += 1
+    assert checked > 150
 
 
 def test_resolvent_matches_matrix_resolvent():
