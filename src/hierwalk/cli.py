@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .coins import DISORDER_MODELS, field_from_config, require_power_of_two
 from .harness import (
-    DEFAULT_BUDGET,
     PRESETS,
     InstanceRecord,
     SweepPlan,
@@ -143,7 +142,6 @@ def _cmd_sweep(args) -> int:
         half_width=args.half_width,
         fit_window=window,
         threshold=args.threshold,
-        budget=args.budget,
     )
     tables = []  # every --extrapolation cell is checked before the sweep runs
     for cell_spec in args.extrapolation or []:
@@ -269,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-lo", type=float, default=None)
     p_sweep.add_argument("--t-hi", type=float, default=None)
     p_sweep.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p_sweep.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="refuse plans whose estimate, t_max^2 amplitude updates per "
-                              "instance, exceeds this; that is 2x the cone's slots and more "
-                              "than the kernel's trimmed window updates")
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--extrapolation", action="append", default=None, metavar="EPS,W",
                          help="also write the extrapolation table for this cell (repeatable)")

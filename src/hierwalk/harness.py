@@ -53,8 +53,6 @@ from .walker import (
 
 WORKERS_ENV = "HIERWALK_WORKERS"
 
-DEFAULT_BUDGET = 10 ** 12  # amplitude updates; one full-scale cell fits comfortably
-
 CELLS_HEADER = "epsilon,W,mean_inv_dw,stderr,classification,n_instances"
 SAMPLES_HEADER = "epsilon,W,model,instance,t,sigma"
 EXTRAPOLATION_HEADER = "t,X,Y,Y_stderr,sigma_mean,sigma_stderr"
@@ -101,7 +99,6 @@ class SweepPlan:
     sample_times: tuple | None = None
     fit_window: tuple | None = None
     threshold: float = DEFAULT_THRESHOLD
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         for name in ("epsilon_values", "W_values"):
@@ -120,12 +117,10 @@ class SweepPlan:
             DisorderSpec(self.model, w)
         if self.half_width is None:
             object.__setattr__(self, "half_width", self.t_max)
-        for name in ("n_instances", "base_seed", "t_max", "half_width", "budget"):
+        for name in ("n_instances", "base_seed", "t_max", "half_width"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if self.budget < 1:
-            raise ValueError(f"budget must be a positive integer, got {self.budget}")
         require_threshold(self.threshold)
         require_power_of_two("t_max", self.t_max)
         require_power_of_two("half_width", self.half_width)
@@ -144,10 +139,6 @@ class SweepPlan:
 
     def instance_seed(self, instance: int) -> int:
         return (self.base_seed + instance) & _MASK64
-
-    def estimated_updates(self) -> int:
-        cells = len(self.epsilon_values) * len(self.W_values)
-        return cells * self.n_instances * self.t_max ** 2
 
 
 @dataclass(frozen=True)
@@ -354,12 +345,6 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     Results are merged in (cell, instance) order regardless of scheduling, so
     outputs never depend on the worker count.
     """
-    estimate = plan.estimated_updates()
-    if estimate > plan.budget:
-        raise ValueError(
-            f"refusing sweep: estimated {estimate:.3e} amplitude updates exceeds "
-            f"budget {plan.budget:.3e}; raise the budget to proceed"
-        )
     if workers is None:
         workers = _env_workers()
     keys = list(product(plan.epsilon_values, plan.W_values, range(plan.n_instances)))
@@ -368,11 +353,13 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
         if not hasattr(os, "fork"):
             raise ValueError(f"{workers} sweep workers need os.fork, which this platform "
                              f"lacks; set {WORKERS_ENV}=1")
-        # numpy loads numpy.random lazily, at the first draw. Loaded here, it
-        # is loaded once, and forked workers inherit it instead of each
-        # loading it at its first instance. `import hierwalk` does not load
-        # it, so that runs that fork no worker do not pay for it up front.
+        # numpy loads numpy.random lazily, at the first draw, and walker the
+        # compiled loop at the first walk. Loaded here, each is loaded once,
+        # and forked workers inherit them instead of each loading them at its
+        # first instance. `import hierwalk` loads neither, so that runs that
+        # fork no worker do not pay for them up front.
         import numpy.random  # noqa: F401
+        light_cone_kernel()
         series = _fork_map(lambda i: _run_instance(plan, keys[i]), len(keys), workers)
     else:
         series = [_run_instance(plan, key) for key in keys]
@@ -438,6 +425,7 @@ def read_manifest(path) -> SweepPlan:
     plan = manifest.get("plan")
     if not isinstance(plan, dict):
         raise ValueError(f"{path}: no plan object")
+    plan.pop("budget", None)  # older manifests carry the retired cost limit; it decided no output
     missing = [f"plan.{f.name}" for f in fields(SweepPlan) if f.name not in plan]
     if missing:  # refused even where SweepPlan has a default: a value is never guessed
         raise ValueError(f"{path}: missing {', '.join(missing)}")

@@ -429,9 +429,9 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
 
     _, parts = _real_walks(psi, False)
     _, up, down, *_ = next(_windows(trig_slice, psi, (t_max,), False, parts, origin=False, tiny=0.0))
-    state = _wave_state(t_max, up[:, :t_max + 1], down[:, :t_max + 1], False, parts, 0.0)
     k = np.arange((t_max - start) // 2 + 1)  # arrival k, at t = start + 2k, is t_max - t past its wall
     right, left = np.zeros((2, t_max, 2), dtype=complex)
-    right[start + 2 * k - 1, 0] = state.up[t_max - k]
-    left[start + 2 * k - 1, 1] = state.down[k]
+    for row, part in enumerate(parts):
+        getattr(right, part)[start + 2 * k - 1, 0] = up[row, t_max - k]
+        getattr(left, part)[start + 2 * k - 1, 1] = down[row, k]
     return AbsorptionRecord(right=right, left=left)

@@ -7,6 +7,7 @@ import pytest
 
 from hierwalk import evolve_absorbing, field_from_config
 from hierwalk.cli import main, parse_config
+from hierwalk.harness import read_manifest
 
 
 def run_cli(capsys, *argv):
@@ -114,24 +115,14 @@ def test_sweep_writes_outputs(capsys, tmp_path):
     assert len(rows) == 3  # header + 2 cells
 
 
-def test_sweep_budget_refusal_is_nonzero(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "sweep", "--epsilon", "1.0", "--W", "0.0", "--model", "none",
-        "--instances", "1", "--t-max", "512", "--out-dir", str(tmp_path / "x"),
-        "--budget", "10",
-    )
-    assert code == 1
-    assert "budget" in err
-
-
 def test_sweep_preset_desk_fills_defaults(capsys, tmp_path):
-    # budget guard keeps this from actually running: preset values made it into the plan
-    code, _, err = run_cli(
+    code, _, _ = run_cli(
         capsys, "sweep", "--epsilon", "1.0", "--W", "0.0", "--model", "none",
-        "--preset", "desk", "--out-dir", str(tmp_path / "x"), "--budget", "10",
+        "--preset", "desk", "--out-dir", str(tmp_path / "x"),
     )
-    assert code == 1
-    assert f"{20 * (2 ** 13) ** 2:.3e}" in err
+    assert code == 0
+    plan = read_manifest(tmp_path / "x" / "manifest.json")
+    assert (plan.t_max, plan.n_instances) == (2 ** 13, 20)
 
 
 def test_fit_reproduces_cells(capsys, tmp_path):
@@ -177,7 +168,8 @@ def test_fit_refuses_archive_without_manifest(capsys, tmp_path):
     # the sweep's own manifest with one plan field changed, refused by SweepPlan
     ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
     ({"t_max": 100}, "t_max must be a positive power of two, got 100"),
-    ({"budget": "x"}, "budget must be an integer, got 'x'"),
+    # a plan field SweepPlan does not have; only an old manifest's budget is dropped
+    ({"bogus": 1}, "SweepPlan.__init__() got an unexpected keyword argument 'bogus'"),
     # json writes and reads NaN, which strict JSON parsers refuse
     ({"threshold": float("nan")}, "threshold must be finite, got nan"),
 ])

@@ -25,7 +25,7 @@ from hierwalk import (
     read_samples_csv,
     run_sweep,
 )
-from hierwalk import harness, walker
+from hierwalk import ckernel, harness, walker
 from hierwalk.harness import (
     CELLS_HEADER,
     PhaseCell,
@@ -122,12 +122,6 @@ def test_zero_disorder_instances_coincide():
         np.testing.assert_array_equal(rec.series.sigma, one.archive[0].series.sigma)
 
 
-def test_budget_guard_refuses_with_estimate():
-    plan = small_disordered_plan(budget=10)
-    with pytest.raises(ValueError, match="amplitude updates"):
-        run_sweep(plan)
-
-
 def test_run_sweep_deterministic_across_runs_and_workers():
     plan = small_disordered_plan()
     a = run_sweep(plan, workers=1)
@@ -169,6 +163,24 @@ def test_run_sweep_starts_at_most_one_worker_per_job(monkeypatch):
     run_sweep(small_disordered_plan(epsilon_values=(0.8,), n_instances=1), workers=8)
     assert len(forks) == 7  # one job runs here, without a fork
     assert_no_child_left()
+
+
+def test_workers_inherit_the_loop_the_caller_loaded(tmp_path, monkeypatch):
+    log = tmp_path / "opened"
+    open_library = ckernel._open
+
+    def logging_open(path):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return open_library(path)
+
+    monkeypatch.setattr(ckernel, "_open", logging_open)
+    ckernel.load.cache_clear()
+    try:
+        run_sweep(small_disordered_plan(), workers=2)
+    finally:
+        ckernel.load.cache_clear()
+    assert set(log.read_text().split()) == {str(os.getpid())}
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
@@ -422,21 +434,19 @@ def test_manifest_plan_is_the_sweep_plan(tmp_path):
     assert read_manifest(path) == plan
     manifest = json.loads(path.read_text())
     del manifest["environment"]["light_cone_trim"]  # as written before the trim was named
+    manifest["plan"]["budget"] = 10 ** 12  # as written before the cost limit was retired
     path.write_text(json.dumps(manifest))
     assert read_manifest(path) == plan
 
 
 @pytest.mark.parametrize("field, value, problem", [
-    ("budget", "x", "budget must be an integer, got 'x'"),
-    ("budget", 0, "budget must be a positive integer, got 0"),
     ("n_instances", "2", "n_instances must be an integer, got '2'"),
     ("t_max", True, "t_max must be an integer, got True"),
     ("psi_ic", 5, "psi_ic must be a list of [re, im] pairs, got 5"),
     ("epsilon_values", "0.8", "epsilon_values must be a sequence of numbers, got '0.8'"),
     ("sample_times", [2, 4.5, 8], "sample_times must be a sequence of integers, got [2, 4.5, 8]"),
     ("fit_window", 8, "fit_window must be a sequence of numbers, got 8"),
-], ids=["budget_text", "budget_zero", "n_instances", "t_max_bool", "psi_ic", "epsilon_values",
-        "sample_times", "fit_window"])
+], ids=["n_instances", "t_max_bool", "psi_ic", "epsilon_values", "sample_times", "fit_window"])
 def test_read_manifest_names_a_mistyped_field(tmp_path, field, value, problem):
     manifest = harness._plan_manifest(small_disordered_plan(t_max=2 ** 6))
     manifest["plan"][field] = value
