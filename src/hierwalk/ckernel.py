@@ -26,6 +26,29 @@ window: the odd cone's amplitude at a slot is recomputed from two slots of
 the even cone, with the same products, and never stored. That halves the
 passes over memory; rescanning that often keeps the window's edges out of
 subnormal arithmetic, which costs far more per update than normal numbers.
+
+A pass streams only the coins that vary. Where every slot of a parity table
+but the start site's holds one coin, bit for bit, walker passes that
+(sin, cos) as coin_a or coin_b, and pair() multiplies by it instead of
+loading the table. On the fields of shared levels (models none and
+hierarchical) every odd site is level 0, so every odd cone has one coin; on
+the Hadamard field every cone has. pair() is one inlined body that two
+constant flags specialize, so each of its four cases compiles to its own
+loop.
+
+Where the compiler has target_clones, on x86-64 with glibc (whose ifuncs
+pick a clone per CPU when the library loads), lightcone_steps is built twice:
+for AVX2 and for the x86-64 baseline. Every helper is always_inline, so
+each clone holds the whole loop: a helper left out of line would run its
+baseline code in both (a build that clones lightcone_steps alone has no ymm
+instruction in its AVX2 clone). Elsewhere the default function alone is
+built. The flags name no -march: the CPU is asked when the library loads.
+
+Neither moves a byte. A coin bit-equal to every table entry it stands for
+gives the same products, and every clone does the same IEEE operations per
+slot: each product rounded on its own (the avx2 target has no FMA, and
+-ffp-contract=off forbids contraction anyway), and the trim's sum of
+squares in order, as no reassociation is allowed.
 """
 
 from __future__ import annotations
@@ -43,7 +66,22 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-static int kept(const double *up, const double *down, int64_t rows, int64_t n,
+/* Every helper is inlined into lightcone_steps, so that each of its clones
+   compiles the whole loop for its target. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* An AVX2 clone and a default one, chosen for the CPU when the library loads
+   (an ifunc, so x86-64 and glibc only); elsewhere the default alone. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
+
+INLINE int kept(const double *up, const double *down, int64_t rows, int64_t n,
                 int64_t q, double tiny)
 {
     for (int64_t r = 0; r < rows; r++)
@@ -58,7 +96,7 @@ static int kept(const double *up, const double *down, int64_t rows, int64_t n,
    at the dropped slots, and as much again for the mirror image of a mirror
    walk, whose dropped slots are these slots' mirrors. The squares are
    summed row by row, up before down, left edge before right. */
-static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
+INLINE void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
                  double tiny, int64_t *lo, int64_t *hi, double *dropped)
 {
     int64_t first = *lo, last = *hi - 1;
@@ -99,7 +137,7 @@ static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
 /* One step of one walk over the window [lo, hi), with the origin's identity
    coin at slot q0 (pass -1 on odd cones, or for no identity). nd[hi] is not stored: it lies
    beyond the older state's window, so it holds +0.0 already. */
-static void step(const double *restrict u, const double *restrict d,
+INLINE void step(const double *restrict u, const double *restrict d,
                  double *restrict nu, double *restrict nd,
                  const double *s, const double *co, int64_t lo, int64_t hi, int64_t q0)
 {
@@ -114,16 +152,25 @@ static void step(const double *restrict u, const double *restrict d,
     nu[lo] = 0.0;
 }
 
+/* Entry p of a coin table, or with one set, the coin at its slot 0 that every
+   slot shares. */
+INLINE double coin(const double *a, int64_t p, int one)
+{
+    return a[one ? 0 : p];
+}
+
 /* Two steps of one walk, from the even cone c (coin s0, c0, window [lo, hi),
    origin at slot q0) over cone c + 1 (coin s1, c1) in one pass. The state
    of cone c + 1 at slot p is recomputed from slots p - 1 and p of cone c with
    step()'s products, and never stored. Its slots that are not the coin's are
    peeled: +0.0 up at lo, +0.0 down at hi, and the identity coin, down at q0
-   and up at q0 + 1. */
-static void pair(const double *restrict u, const double *restrict d,
+   and up at q0 + 1. With one0 (one1) set, cone c (c + 1) has one coin, held
+   at slot 0 of its tables; the calls pass constants, so each of the four
+   cases compiles to its own loop, which streams only the tables that vary. */
+INLINE void pair(const double *restrict u, const double *restrict d,
                  double *restrict nu, double *restrict nd,
                  const double *s0, const double *c0, const double *s1, const double *c1,
-                 int64_t lo, int64_t hi, int64_t q0)
+                 int64_t lo, int64_t hi, int64_t q0, const int one0, const int one1)
 {
     const int origin = lo <= q0 && q0 < hi;
     int64_t peel[4], n_peel = 0;
@@ -136,19 +183,19 @@ static void pair(const double *restrict u, const double *restrict d,
     int64_t p = lo;
     for (int k = 0; k < n_peel; k++, p++) {
         for (; p < peel[k]; p++) {
-            const double mu = s0[p - 1] * u[p - 1] + c0[p - 1] * d[p - 1];
-            const double md = c0[p] * u[p] - s0[p] * d[p];
-            nu[p + 1] = s1[p] * mu + c1[p] * md;
-            nd[p] = c1[p] * mu - s1[p] * md;
+            const double mu = coin(s0, p - 1, one0) * u[p - 1] + coin(c0, p - 1, one0) * d[p - 1];
+            const double md = coin(c0, p, one0) * u[p] - coin(s0, p, one0) * d[p];
+            nu[p + 1] = coin(s1, p, one1) * mu + coin(c1, p, one1) * md;
+            nd[p] = coin(c1, p, one1) * mu - coin(s1, p, one1) * md;
         }
         const double mu = p == lo ? 0.0
                         : origin && p - 1 == q0 ? u[q0]
-                        : s0[p - 1] * u[p - 1] + c0[p - 1] * d[p - 1];
+                        : coin(s0, p - 1, one0) * u[p - 1] + coin(c0, p - 1, one0) * d[p - 1];
         const double md = p == hi ? 0.0
                         : origin && p == q0 ? d[q0]
-                        : c0[p] * u[p] - s0[p] * d[p];
-        nu[p + 1] = s1[p] * mu + c1[p] * md;
-        nd[p] = c1[p] * mu - s1[p] * md;
+                        : coin(c0, p, one0) * u[p] - coin(s0, p, one0) * d[p];
+        nu[p + 1] = coin(s1, p, one1) * mu + coin(c1, p, one1) * md;
+        nd[p] = coin(c1, p, one1) * mu - coin(s1, p, one1) * md;
     }
     nu[lo] = 0.0;
 }
@@ -164,13 +211,16 @@ static void pair(const double *restrict u, const double *restrict d,
    state ends in next_up and next_down, 0 if in up and down. The sin and cos
    of cone c start at offset (n - 1 - c) / 2 of the tables for cone n - 1
    (cone parity equal to that of n - 1) or cone n - 2 (the other). The start
-   site, slot c / 2 of even cones, has the identity coin if origin is set. */
-int lightcone_steps(double *up, double *down, double *next_up, double *next_down,
-                    int64_t rows, int64_t n, int32_t mirror, int32_t origin,
-                    const double *sin_a, const double *cos_a,
-                    const double *sin_b, const double *cos_b,
-                    int64_t t0, int64_t t1, double tiny, int64_t *window,
-                    double *dropped)
+   site, slot c / 2 of even cones, has the identity coin if origin is set.
+   coin_a (coin_b) is NULL, or the (sin, cos) held by every slot of table a
+   (b) but the start site's: then pairs read it in place of the table. */
+CLONED int lightcone_steps(double *up, double *down, double *next_up, double *next_down,
+                           int64_t rows, int64_t n, int32_t mirror, int32_t origin,
+                           const double *sin_a, const double *cos_a,
+                           const double *sin_b, const double *cos_b,
+                           const double *coin_a, const double *coin_b,
+                           int64_t t0, int64_t t1, double tiny, int64_t *window,
+                           double *dropped)
 {
     int64_t lo = window[0], hi = window[1];
     int swapped = 0;
@@ -184,14 +234,22 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
         }
         const int64_t q0 = c % 2 || !origin ? -1 : c / 2;  /* the origin's slot on even cones */
         const int64_t steps = c % 2 == 0 && c + 2 <= t1 ? 2 : 1;
+        /* cone c + 1 takes the other table at offset (back - 1) / 2 */
+        const double *s1 = ((back & 1) ? sin_a : sin_b) + (back - 1) / 2;
+        const double *c1 = ((back & 1) ? cos_a : cos_b) + (back - 1) / 2;
+        const double *k0 = (back & 1) ? coin_b : coin_a, *k1 = (back & 1) ? coin_a : coin_b;
         for (int64_t r = 0; r < rows; r++) {
-            const int64_t o = r * n;
-            if (steps == 2)  /* cone c + 1 takes the other table at offset (back - 1) / 2 */
-                pair(up + o, down + o, next_up + o, next_down + o, s, co,
-                     ((back & 1) ? sin_a : sin_b) + (back - 1) / 2,
-                     ((back & 1) ? cos_a : cos_b) + (back - 1) / 2, lo, hi, q0);
+            double *u = up + r * n, *d = down + r * n, *nu = next_up + r * n, *nd = next_down + r * n;
+            if (steps == 1)
+                step(u, d, nu, nd, s, co, lo, hi, q0);
+            else if (k0 && k1)
+                pair(u, d, nu, nd, k0, k0 + 1, k1, k1 + 1, lo, hi, q0, 1, 1);
+            else if (k0)
+                pair(u, d, nu, nd, k0, k0 + 1, s1, c1, lo, hi, q0, 1, 0);
+            else if (k1)
+                pair(u, d, nu, nd, s, co, k1, k1 + 1, lo, hi, q0, 0, 1);
             else
-                step(up + o, down + o, next_up + o, next_down + o, s, co, lo, hi, q0);
+                pair(u, d, nu, nd, s, co, s1, c1, lo, hi, q0, 0, 0);
         }
         double *swap = up; up = next_up; next_up = swap;
         swap = down; down = next_down; next_down = swap;
@@ -212,7 +270,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P,
+_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P, _P, _P,
              _I64, _I64, ctypes.c_double, _P, _P)
 
 

@@ -426,7 +426,11 @@ def read_manifest(path) -> SweepPlan:
     if not isinstance(plan, dict):
         raise ValueError(f"{path}: no plan object")
     plan.pop("budget", None)  # older manifests carry the retired cost limit; it decided no output
-    missing = [f"plan.{f.name}" for f in fields(SweepPlan) if f.name not in plan]
+    names = [f.name for f in fields(SweepPlan)]
+    unknown = sorted(f"plan.{name}" for name in plan.keys() - set(names))
+    if unknown:
+        raise ValueError(f"{path}: unknown {', '.join(unknown)}")
+    missing = [f"plan.{name}" for name in names if name not in plan]
     if missing:  # refused even where SweepPlan has a default: a value is never guessed
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     pairs = plan["psi_ic"]
@@ -436,7 +440,7 @@ def read_manifest(path) -> SweepPlan:
         raise ValueError(f"{path}: psi_ic must be a list of [re, im] pairs, got {pairs!r}")
     try:
         return SweepPlan(**{**plan, "psi_ic": [complex(*pair) for pair in pairs]})
-    except (TypeError, ValueError) as exc:  # an unknown field, or one SweepPlan refuses by name
+    except (TypeError, ValueError) as exc:  # a field SweepPlan refuses by name
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -445,7 +449,10 @@ def emit_results(result: SweepResult, out_dir) -> dict:
 
     Floats are written with repr (shortest round-trip), so identical plans give
     byte-identical files, and `hierwalk fit` rebuilds cells.csv from the other
-    two. Returns the paths written, keyed by file kind.
+    two. Each file is written to a temporary file beside it, and the three
+    are renamed into place only once all are written: a write that fails
+    leaves the files of an earlier sweep as they were, and no temporary file.
+    Returns the paths written, keyed by file kind.
     """
     out = Path(out_dir)
     try:
@@ -454,16 +461,23 @@ def emit_results(result: SweepResult, out_dir) -> dict:
         raise OSError(f"cannot create results directory {out}: {exc}") from exc
     written = {"cells": out / "cells.csv", "samples": out / "samples.csv",
                "manifest": out / "manifest.json"}
+    # opened as a new file is, with the umask's mode rather than mkstemp's 0600
+    temps = {kind: out / f".{path.name}.{os.getpid()}.tmp" for kind, path in written.items()}
     try:
-        with open(written["cells"], "w", newline="") as f:
+        with open(temps["cells"], "w", newline="") as f:
             write_cells(f, result.cells)
-        with open(written["samples"], "w", newline="") as f:
+        with open(temps["samples"], "w", newline="") as f:
             write_samples(f, result.archive)
-        with open(written["manifest"], "w", newline="") as f:
+        with open(temps["manifest"], "w", newline="") as f:
             json.dump(_plan_manifest(result.plan), f, indent=2, sort_keys=True)
             f.write("\n")
+        for kind, tmp in temps.items():
+            os.replace(tmp, written[kind])
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
     return written
 
 

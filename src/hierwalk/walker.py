@@ -20,7 +20,11 @@ window rescans in one pass. Where no library can be built or loaded, the
 same loop runs in numpy one cone at a time, bit for bit; it is only slower.
 light_cone_kernel() says which one a process runs, and every sweep's
 manifest.json records it. A walk takes its trig tables' and buffers'
-addresses for the C loop once, not at every sample time.
+addresses for the C loop once, not at every sample time, and checks once
+whether each parity table holds one coin at every slot but the start
+site's (bits compared, not values); the C loop then reads that coin instead
+of the table, and runs in an AVX2 clone where the CPU has it (see ckernel).
+The bytes are the same on every path.
 
 evolve_absorbing runs on the same loop, untrimmed, as one light-cone walk
 with sink coins past the walls (see its docstring): parts * t_max^2 / 2
@@ -290,11 +294,13 @@ def _compiled_steps(kernel, trig_slice, bufs: list, window: np.ndarray, dropped:
     pair holds the state; the addresses rotate with the buffers.
     """
     rows, n = bufs[0].shape
-    # sin and cos of the cones of either parity
+    # sin and cos of the cones of either parity, and the one coin of each, if it has one
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*trig_slice(n - 1), *trig_slice(n - 2))]
+    coins = [_one_coin(*tables[i:i + 2], cone, origin) for i, cone in ((0, n - 1), (2, n - 2))]
     addresses = [b.ctypes.data for b in bufs]
-    fixed = (rows, n, mirror, origin, *(a.ctypes.data for a in tables))
+    fixed = (rows, n, mirror, origin, *(a.ctypes.data for a in tables),
+             *(None if k is None else k.ctypes.data for k in coins))
     out = (tiny, window.ctypes.data, dropped.ctypes.data)
 
     def steps(t0: int, t1: int) -> None:
@@ -302,8 +308,27 @@ def _compiled_steps(kernel, trig_slice, bufs: list, window: np.ndarray, dropped:
             _swap(bufs)
             _swap(addresses)
 
-    steps.tables = tables  # the kernel reads them by address: keep them alive with the stepper
+    steps.tables = tables, coins  # the kernel reads them by address: keep them alive with the stepper
     return steps
+
+
+def _one_coin(sin: np.ndarray, cos: np.ndarray, cone: int, origin: bool) -> np.ndarray | None:
+    """The (sin, cos) that every slot of cone's tables holds, bit for bit, or None where they differ.
+
+    With origin, the start site's slot (cone // 2 of an even cone) is
+    skipped: the loop gives it the identity coin. Bits are compared, not
+    values: -0.0 == 0.0, but the two give products of different signs.
+    """
+    slots = [np.s_[:]]
+    if origin and cone % 2 == 0:
+        if cone == 0:  # the start site's slot is the only one
+            return None
+        slots = [np.s_[:cone // 2], np.s_[cone // 2 + 1:]]
+    for table in (sin, cos):
+        bits = table.view(np.int64)
+        if any((bits[part] != bits[0]).any() for part in slots):
+            return None
+    return np.array([sin[0], cos[0]])
 
 
 def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts,

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -439,17 +440,20 @@ def test_manifest_plan_is_the_sweep_plan(tmp_path):
     assert read_manifest(path) == plan
 
 
-@pytest.mark.parametrize("field, value, problem", [
-    ("n_instances", "2", "n_instances must be an integer, got '2'"),
-    ("t_max", True, "t_max must be an integer, got True"),
-    ("psi_ic", 5, "psi_ic must be a list of [re, im] pairs, got 5"),
-    ("epsilon_values", "0.8", "epsilon_values must be a sequence of numbers, got '0.8'"),
-    ("sample_times", [2, 4.5, 8], "sample_times must be a sequence of integers, got [2, 4.5, 8]"),
-    ("fit_window", 8, "fit_window must be a sequence of numbers, got 8"),
-], ids=["n_instances", "t_max_bool", "psi_ic", "epsilon_values", "sample_times", "fit_window"])
-def test_read_manifest_names_a_mistyped_field(tmp_path, field, value, problem):
+@pytest.mark.parametrize("changes, problem", [
+    ({"n_instances": "2"}, "n_instances must be an integer, got '2'"),
+    ({"t_max": True}, "t_max must be an integer, got True"),
+    ({"psi_ic": 5}, "psi_ic must be a list of [re, im] pairs, got 5"),
+    ({"epsilon_values": "0.8"}, "epsilon_values must be a sequence of numbers, got '0.8'"),
+    ({"sample_times": [2, 4.5, 8]}, "sample_times must be a sequence of integers, got [2, 4.5, 8]"),
+    ({"fit_window": 8}, "fit_window must be a sequence of numbers, got 8"),
+    # every unknown field is named, sorted; an old manifest's budget is dropped first
+    ({"zeta": 1, "budget": 10, "alpha": None}, "unknown plan.alpha, plan.zeta"),
+], ids=["n_instances", "t_max_bool", "psi_ic", "epsilon_values", "sample_times", "fit_window",
+        "two_unknown"])
+def test_read_manifest_names_a_mistyped_field(tmp_path, changes, problem):
     manifest = harness._plan_manifest(small_disordered_plan(t_max=2 ** 6))
-    manifest["plan"][field] = value
+    manifest["plan"].update(changes)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError) as err:
@@ -526,6 +530,22 @@ def test_emit_results_unwritable_destination(tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(OSError, match="blocked"):
         emit_results(result, blocker / "out")
+
+
+def test_emit_results_failing_write_keeps_the_earlier_sweep(tmp_path, monkeypatch):
+    plan = small_disordered_plan()
+    emit_results(run_sweep(plan), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["cells.csv", "manifest.json", "samples.csv"]
+
+    def full_disk(f, archive):
+        f.write("epsilon,W")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness, "write_samples", full_disk)
+    with pytest.raises(OSError, match="cannot write results under .*No space left on device"):
+        emit_results(run_sweep(small_disordered_plan(base_seed=7)), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_plan_refuses_fit_window_with_too_few_samples():

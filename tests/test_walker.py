@@ -367,7 +367,9 @@ def both_loops(test):
         # coin angles beyond pi/2 (cos < 0 < sin) turn +0.0 into -0.0 where the walk of
         # Im psi is zero at the cone's edge, so the sign of each zero the loop makes shows
         CoinField(1.0, DisorderSpec(model="hierarchical", W=3.0, seed=5), 4096),
-    ], ids=["none", "hierarchical", "extensive", "obtuse"])(test)
+        # one coin on the odd cones, level-dependent coins on the even ones
+        CoinField(0.7, DisorderSpec(), 4096),
+    ], ids=["none", "hierarchical", "extensive", "obtuse", "none_barriers"])(test)
 
 
 @both_loops
@@ -410,6 +412,81 @@ def test_compiled_loop_gives_the_numpy_loops_absorption_bytes(field, psi_ic, mon
     for (l, t_max), a in zip(cases, compiled):
         b = evolve_absorbing(field, l, psi_ic, t_max)
         assert a.right.tobytes() == b.right.tobytes() and a.left.tobytes() == b.left.tobytes()
+
+
+def record_one_coins(monkeypatch) -> dict:
+    """{cone parity: whether its table has one coin}, filled as the compiled loop's walks start."""
+    seen = {}
+    one_coin = walker._one_coin
+
+    def recording(sin, cos, cone, origin):
+        coin = one_coin(sin, cos, cone, origin)
+        seen[cone % 2] = coin is not None
+        return coin
+
+    monkeypatch.setattr(walker, "_one_coin", recording)
+    return seen
+
+
+@pytest.mark.parametrize("field, walk, one_coin", [
+    (hadamard_field(), evolve, {0: True, 1: True}),
+    (CoinField(0.7, DisorderSpec(), 256), evolve, {0: False, 1: True}),
+    (CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 256), evolve,
+     {0: False, 1: True}),
+    (CoinField(1.0, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 256), evolve,
+     {0: False, 1: False}),
+    # the box's coins are the Hadamard field's, the sinks past its walls are not
+    (hadamard_field(), lambda field, psi_ic, t_max: evolve_absorbing(field, 3, psi_ic, t_max),
+     {0: False, 1: False}),
+], ids=["hadamard", "none_barriers", "hierarchical", "extensive", "absorbing"])
+def test_one_coin_per_parity_table(field, walk, one_coin, monkeypatch):
+    """Which of a walk's two parity tables the compiled loop reads as one coin: the start site's is skipped."""
+    if walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    seen = record_one_coins(monkeypatch)
+    walk(field, DEFAULT_IC, 64)
+    assert seen == one_coin
+
+
+def hand_made_walk(s: np.ndarray, co: np.ndarray, tiny: float | None) -> list:
+    """The (up, down) bytes at each time of a walk whose sites -T..T take the coins s[x + T], co[x + T]."""
+    T = (len(s) - 1) // 2
+
+    def trig_slice(cone):
+        return s[T - cone:T + cone + 1:2], co[T - cone:T + cone + 1:2]
+
+    windows = walker._windows(trig_slice, walker._as_spinor(MIXED_IC), (1, 2, 7, 64, T - 1, T),
+                              False, ("real", "imag"), tiny=tiny)
+    return [(up.tobytes(), down.tobytes()) for _, up, down, *_ in windows]
+
+
+@pytest.mark.parametrize("site", [5, -6], ids=["odd_site", "even_site"])
+@pytest.mark.parametrize("kind", ["one_ulp", "signed_zero"])
+def test_compiled_loop_reads_a_table_that_is_one_coin_but_for_one_slot(site, kind, monkeypatch):
+    """A table that differs from one coin at one slot, by one ulp or by the sign of a zero, is read as a table.
+
+    Its slots are compared as bits: a value comparison takes -0.0 for +0.0,
+    and with cos = -1 the sign of that zero moves into the amplitudes where
+    the walk is zero. The other parity's table has one coin; the origin's
+    slot holds another, which the loop replaces by the identity.
+    """
+    if walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    T = 100
+    if kind == "one_ulp":
+        s, co = np.full(2 * T + 1, math.sin(0.3)), np.full(2 * T + 1, math.cos(0.3))
+        s[site + T] = np.nextafter(s[site + T], 1.0)
+        tiny = None
+    else:
+        s, co = np.full(2 * T + 1, 0.0), np.full(2 * T + 1, -1.0)
+        s[site + T] = -0.0
+        tiny = 0.0  # keep the zeros in the window
+    s[T], co[T] = 0.0, 1.0  # the origin's table coin, which the loop replaces by the identity
+    seen = record_one_coins(monkeypatch)
+    compiled = hand_made_walk(s, co, tiny)
+    assert seen == {site % 2: False, 1 - site % 2: True}
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    assert compiled == hand_made_walk(s, co, tiny)
 
 
 def test_step_rejects_cone_beyond_lattice():
