@@ -16,15 +16,20 @@ length xi.
 The time loop runs in C (module ckernel), compiled with the system C
 compiler at the first light-cone walk and cached under
 ${XDG_CACHE_HOME:-~/.cache}/hierwalk/. It steps the two cones between
-window rescans in one pass. Where no library can be built or loaded, the
-same loop runs in numpy one cone at a time, bit for bit; it is only slower.
+window rescans in one pass, and from an even cone four cones in one pass
+that trims the middle cone from its edges, steps the interior through a
+small ring of tiles and leaves the state in place, so a wide window
+crosses memory once per four steps. Where no library can be built or
+loaded, the same loop runs in numpy one cone at a time, bit for bit; it
+is only slower.
 light_cone_kernel() says which one a process runs, and every sweep's
 manifest.json records it. A walk takes its trig tables' and buffers'
 addresses for the C loop once, not at every sample time, and checks once
 whether each parity table holds one coin at every slot but the start
 site's (bits compared, not values); the C loop then reads that coin instead
-of the table, and runs in an AVX2 clone where the CPU has it (see ckernel).
-The bytes are the same on every path.
+of the table, and runs its span loops in AVX2 clones where the CPU has
+AVX2 (see ckernel). evolve_absorbing's walks skip the check: their sink
+coins never make a table one coin. The bytes are the same on every path.
 
 evolve_absorbing runs on the same loop, untrimmed, as one light-cone walk
 with sink coins past the walls (see its docstring): parts * t_max^2 / 2
@@ -290,14 +295,15 @@ def _compiled_steps(kernel, trig_slice, bufs: list, window: np.ndarray, dropped:
     """The stepper of one walk through ckernel's lightcone_steps: steps(t0, t1) acts as _numpy_steps.
 
     The tables' and buffers' addresses are taken once per walk. The C loop
-    steps two cones per buffer swap where it can, so it says which buffer
-    pair holds the state; the addresses rotate with the buffers.
+    steps one or two cones per buffer swap, or four in place, so it says
+    which buffer pair holds the state; the addresses rotate with the buffers.
     """
     rows, n = bufs[0].shape
     # sin and cos of the cones of either parity, and the one coin of each, if it has one
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*trig_slice(n - 1), *trig_slice(n - 2))]
-    coins = [_one_coin(*tables[i:i + 2], cone, origin) for i, cone in ((0, n - 1), (2, n - 2))]
+    # only evolve_absorbing's walks lack the origin; their sinks, s = +1 and -1, never make one coin
+    coins = [_one_coin(*tables[i:i + 2], cone) if origin else None for i, cone in ((0, n - 1), (2, n - 2))]
     addresses = [b.ctypes.data for b in bufs]
     fixed = (rows, n, mirror, origin, *(a.ctypes.data for a in tables),
              *(None if k is None else k.ctypes.data for k in coins))
@@ -312,15 +318,15 @@ def _compiled_steps(kernel, trig_slice, bufs: list, window: np.ndarray, dropped:
     return steps
 
 
-def _one_coin(sin: np.ndarray, cos: np.ndarray, cone: int, origin: bool) -> np.ndarray | None:
+def _one_coin(sin: np.ndarray, cos: np.ndarray, cone: int) -> np.ndarray | None:
     """The (sin, cos) that every slot of cone's tables holds, bit for bit, or None where they differ.
 
-    With origin, the start site's slot (cone // 2 of an even cone) is
-    skipped: the loop gives it the identity coin. Bits are compared, not
-    values: -0.0 == 0.0, but the two give products of different signs.
+    The start site's slot (cone // 2 of an even cone) is skipped: the loop
+    gives it the identity coin. Bits are compared, not values:
+    -0.0 == 0.0, but the two give products of different signs.
     """
     slots = [np.s_[:]]
-    if origin and cone % 2 == 0:
+    if cone % 2 == 0:
         if cone == 0:  # the start site's slot is the only one
             return None
         slots = [np.s_[:cone // 2], np.s_[cone // 2 + 1:]]

@@ -1,4 +1,7 @@
 import math
+import re
+import subprocess
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hierwalk import (
     evolve_state,
     sigma,
 )
-from hierwalk import walker
+from hierwalk import ckernel, walker
 
 from angle_oracle import site_angles
 
@@ -414,13 +417,132 @@ def test_compiled_loop_gives_the_numpy_loops_absorption_bytes(field, psi_ic, mon
         assert a.right.tobytes() == b.right.tobytes() and a.left.tobytes() == b.left.tobytes()
 
 
+@pytest.fixture(scope="module")
+def small_tiles(tmp_path_factory):
+    """lightcone_steps built with tiles of 7 pair slots and edge chunks of 1 slot.
+
+    Ring and edge-chunk boundaries then fall inside every walk wider than
+    a few slots, and a trim's edge search crosses several chunks.
+    """
+    source = ckernel._SOURCE
+    for name, size in (("TILE", 7), ("EDGE", 1)):
+        source, count = re.subn(rf"^#define {name} \d+$", f"#define {name} {size}", source, flags=re.M)
+        assert count == 1, f"no #define {name} line to rewrite"
+    path = tmp_path_factory.mktemp("small-tiles") / "lightcone.so"
+    try:
+        subprocess.run([ckernel._CC, *ckernel._FLAGS, "-o", str(path), "-x", "c", "-"], input=source,
+                       text=True, capture_output=True, check=True, timeout=120)
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    return ckernel._open(path)
+
+
+@pytest.fixture
+def small_tile_loop(small_tiles):
+    """Compiled walks step through the small-tile library.
+
+    It replaces ckernel.load, with a MonkeyPatch of its own, so a test's
+    monkeypatch, which switches walker._load_kernel between the loops and
+    may undo that, leaves it in place.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ckernel, "load", lambda: small_tiles)
+        yield
+
+
+@pytest.fixture(params=["default", "small_tiles"])
+def compiled_loop(request):
+    """The compiled loop under test: the library walks load, or the small-tile one."""
+    if request.param == "small_tiles":
+        request.getfixturevalue("small_tile_loop")
+    if walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled light-cone loop cannot be built here")
+
+
+@both_loops
+def test_small_tiles_give_the_numpy_loops_bytes(field, psi_ic, small_tile_loop, monkeypatch):
+    """The three comparisons above, through the library with tiles of 7 slots and edge chunks of 1."""
+    for compare in (test_compiled_loop_gives_the_numpy_loops_bytes,
+                    test_compiled_loop_gives_the_numpy_loops_sigma_bytes,
+                    test_compiled_loop_gives_the_numpy_loops_absorption_bytes):
+        compare(field, psi_ic, monkeypatch)
+        monkeypatch.undo()
+
+
+def window_bytes(field, psi_ic, times, tiny=None) -> list:
+    """(up, down, lo, hi, B) at each time of the walks from psi_ic, trimmed at tiny (see walker._windows)."""
+    psi = walker._as_spinor(psi_ic)
+    mirror, parts = walker._real_walks(psi, field.mirror_symmetric)
+    return [(up.tobytes(), down.tobytes(), lo, hi, bound) for _, up, down, lo, hi, bound
+            in walker._windows(field.trig_slice, psi, times, mirror, parts, tiny=tiny)]
+
+
+def assert_loops_agree(walk, monkeypatch) -> None:
+    compiled = walk()
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    assert compiled == walk()
+
+
+@both_loops
+@pytest.mark.parametrize("tiny", [1e-6, 1e-3])
+def test_compiled_loop_gives_the_numpy_loops_bytes_under_a_coarse_trim(field, psi_ic, tiny, compiled_loop,
+                                                                      monkeypatch):
+    """Windows, B and bytes trimmed at a large tau, where a trim searches up to 7 slots in from an edge.
+
+    The walk ends at an odd time, so its buffers hold an even number of
+    slots and its even cones take the coins of the table for cone n - 2.
+    """
+    assert_loops_agree(partial(window_bytes, field, psi_ic, (2, 33, 512, 1023), tiny), monkeypatch)
+
+
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, MIXED_IC], ids=["mirror", "two_rows"])
+def test_compiled_loop_gives_the_numpy_loops_bytes_with_the_start_site_on_tile_boundaries(psi_ic, compiled_loop,
+                                                                                        monkeypatch):
+    """Untrimmed, the start site crosses tile boundaries, where its identity coin is peeled.
+
+    With tiny = 0 the window is the whole cone and its first edge chunk
+    holds a kept slot, so the tiles of the pass from cone c start at slot
+    EDGE + k TILE (16 + 256 k, or 1 + 7 k for the small tiles). The start
+    site sits at slot c / 2 for the first pair and c / 2 + 1 for the
+    second; with passes from cones 0 mod 4, and from 2 mod 4 after a
+    single step, those run through every slot up to 598, so they meet each
+    tile boundary below it (272 and 528 for the default tiles). The two
+    walks have an odd and an even number of slots per buffer.
+    """
+    field = hadamard_field(1200)
+    for times in ((1200,), (1, 1199)):
+        assert_loops_agree(partial(window_bytes, field, psi_ic, times, 0.0), monkeypatch)
+        monkeypatch.undo()
+
+
+def test_compiled_loop_gives_the_numpy_loops_bytes_where_the_right_edge_sets_the_left_trim(compiled_loop,
+                                                                                         monkeypatch):
+    """A mirror walk whose window's left edge is the mirror of its right edge, trimmed inside four-cone passes.
+
+    A walk from cone 0 trims inside a pass at cones 2 mod 4, from edges
+    the pass stepped first. At some of those the first kept slot from the
+    left lies beyond the mirror of the last kept one, so the trim keeps
+    slots left of it that are all below tau.
+    """
+    field = CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 2048)
+    psi = walker._as_spinor(DEFAULT_IC)
+    monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    right_sets_left = []
+    for _, up, down, lo, hi, _ in walker._windows(field.trig_slice, psi, range(2, 2049, 4), True, ("real",)):
+        kept = np.flatnonzero((np.abs(up[0, lo:hi]) >= walker._TINY) | (np.abs(down[0, lo:hi]) >= walker._TINY))
+        right_sets_left.append(hi - lo - 1 - kept[-1] < kept[0])
+    assert any(right_sets_left)
+    monkeypatch.undo()
+    assert_loops_agree(partial(window_bytes, field, DEFAULT_IC, (2048,)), monkeypatch)
+
+
 def record_one_coins(monkeypatch) -> dict:
     """{cone parity: whether its table has one coin}, filled as the compiled loop's walks start."""
     seen = {}
     one_coin = walker._one_coin
 
-    def recording(sin, cos, cone, origin):
-        coin = one_coin(sin, cos, cone, origin)
+    def recording(sin, cos, cone):
+        coin = one_coin(sin, cos, cone)
         seen[cone % 2] = coin is not None
         return coin
 
@@ -435,12 +557,14 @@ def record_one_coins(monkeypatch) -> dict:
      {0: False, 1: True}),
     (CoinField(1.0, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 256), evolve,
      {0: False, 1: False}),
-    # the box's coins are the Hadamard field's, the sinks past its walls are not
-    (hadamard_field(), lambda field, psi_ic, t_max: evolve_absorbing(field, 3, psi_ic, t_max),
-     {0: False, 1: False}),
+    # never checked: the box's coins are the Hadamard field's, but the sinks past its walls are not
+    (hadamard_field(), lambda field, psi_ic, t_max: evolve_absorbing(field, 3, psi_ic, t_max), {}),
 ], ids=["hadamard", "none_barriers", "hierarchical", "extensive", "absorbing"])
 def test_one_coin_per_parity_table(field, walk, one_coin, monkeypatch):
-    """Which of a walk's two parity tables the compiled loop reads as one coin: the start site's is skipped."""
+    """Which of a walk's two parity tables the compiled loop reads as one coin: the start site's is skipped.
+
+    evolve_absorbing's walks, which have no start site, are not checked.
+    """
     if walker.light_cone_kernel() != "compiled":
         pytest.skip("the compiled light-cone loop cannot be built here")
     seen = record_one_coins(monkeypatch)
