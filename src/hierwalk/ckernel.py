@@ -57,22 +57,30 @@ own loop.
 
 Where the compiler has target_clones, on x86-64 with glibc (whose ifuncs
 pick a clone per CPU when the library loads), each of those four functions
-is built twice: for AVX2 and for the x86-64 baseline. The control code
-(the edge search, the trim, the ring's bookkeeping and the single steps)
-is built once, for the baseline, and calls them through a
-pointer; the span body is inlined nowhere else, which keeps the build
-under a second (inlined at every call site of a cloned control loop, it
-took 6.3 s). Elsewhere the default functions alone are built. The flags
-name no -march: the CPU is asked when the library loads.
+is built three times: for AVX-512F, for AVX2 and for the x86-64 baseline.
+The resolver takes the AVX-512F clone where the CPU and the OS support it,
+else the AVX2 one, else the baseline. That guard is the only one: every
+compiler with target_clones on x86 (GCC 6 on, clang 14 on) knows both
+feature names, so no compiler version is tested. The library's
+lightcone_isa() names the clone this CPU runs; `_open` keeps it as the
+loop's `isa`.
+The control code (the edge search, the trim, the ring's bookkeeping and
+the single steps) is built once, for the baseline, and calls them
+through a pointer; the span body is inlined nowhere else, which keeps the
+build under a second (inlined at every call site of a cloned control
+loop, it took 6.3 s). Elsewhere the default functions alone are built.
+The flags name no -march: the CPU is asked when the library loads.
 
 None of this moves a byte. Every amplitude of cones c + 1 to c + 4 is the
 same span() products of the same inputs, whichever buffer or ring tile
 holds them, and the trim reads the same cone c + 2 it would read between
 two passes. A coin bit-equal to every table entry it stands for gives the
 same products, and every clone does the same IEEE operations per slot:
-each product rounded on its own (the avx2 target has no FMA, and
--ffp-contract=off forbids contraction anyway), and the trim's sum of
-squares in order, as no reassociation is allowed.
+each product rounded on its own, and the trim's sum of squares in order,
+in the baseline control code, as no reassociation is allowed. AVX-512F
+encodes fused multiply-adds, so the products stay unfused only because
+-ffp-contract=off forbids contraction; CI checks that the library holds
+no fused multiply-add instruction.
 """
 
 from __future__ import annotations
@@ -99,18 +107,35 @@ _SOURCE = r"""
    case compiles to its own loop. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* Each of those four functions gets an AVX2 clone and a default one, chosen
-   for the CPU when the library loads (an ifunc, so x86-64 and glibc only);
-   elsewhere the default alone. The control code is built once, for the
-   baseline. */
+/* Each of those four functions gets an AVX-512F clone, an AVX2 one and a
+   default one, chosen for the CPU when the library loads (an ifunc, so
+   x86-64 and glibc only); elsewhere the default alone. Every compiler with
+   target_clones on x86 knows both features. The control code is built
+   once, for the baseline. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define CLONED __attribute__((target_clones("avx2", "default")))
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#define CLONES 1
 #endif
 #endif
 #ifndef CLONED
 #define CLONED
 #endif
+
+/* The clone of the span functions that the ifunc resolver picks on this
+   CPU: the same feature checks, in its order. "baseline" where there are
+   no clones. */
+const char *lightcone_isa(void)
+{
+#ifdef CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "baseline";
+}
 
 static int kept(const double *up, const double *down, int64_t rows, int64_t n,
                 int64_t q, double tiny)
@@ -471,11 +496,16 @@ def _truncated_elf(path: Path) -> bool:
 
 
 def _open(path: Path):
+    """The library's lightcone_steps, its `isa` the clone of the span functions this CPU runs."""
     if _truncated_elf(path):
         raise OSError(f"{path}: truncated library")
-    fn = ctypes.CDLL(str(path)).lightcone_steps
+    library = ctypes.CDLL(str(path))
+    fn = library.lightcone_steps
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
+    library.lightcone_isa.argtypes = ()
+    library.lightcone_isa.restype = ctypes.c_char_p
+    fn.isa = library.lightcone_isa().decode()
     return fn
 
 

@@ -48,6 +48,7 @@ from .walker import (
     _validated_sample_times,
     default_sample_times,
     evolve,
+    light_cone_isa,
     light_cone_kernel,
 )
 
@@ -406,9 +407,11 @@ def _plan_manifest(plan: SweepPlan) -> dict:
         "generator": "numpy PCG64",
         "seed_rule": "instance seed = (base_seed + instance_index) mod 2^64",
         "plan": {**asdict(plan), "psi_ic": [[a.real, a.imag] for a in plan.psi_ic]},
-        # sweep workers load the kernel from the same cache as this process; the
-        # trim threshold tau only moves the last bits of sigma, so a refit ignores it
-        "environment": {"light_cone_kernel": light_cone_kernel(), "light_cone_trim": _TINY,
+        # sweep workers load the kernel from the same cache as this process; the clone
+        # it runs (None on the numpy loop) sets its speed, not its bytes; the trim
+        # threshold tau only moves the last bits of sigma, so a refit ignores it
+        "environment": {"light_cone_kernel": light_cone_kernel(), "light_cone_isa": light_cone_isa(),
+                        "light_cone_trim": _TINY,
                         "python": platform.python_version(), "numpy": np.__version__},
     }
 

@@ -22,14 +22,16 @@ small ring of tiles and leaves the state in place, so a wide window
 crosses memory once per four steps. Where no library can be built or
 loaded, the same loop runs in numpy one cone at a time, bit for bit; it
 is only slower.
-light_cone_kernel() says which one a process runs, and every sweep's
-manifest.json records it. A walk takes its trig tables' and buffers'
+light_cone_kernel() says which one a process runs, light_cone_isa() which
+clone of the C loop's span functions the CPU runs, and every sweep's
+manifest.json records both. A walk takes its trig tables' and buffers'
 addresses for the C loop once, not at every sample time, and checks once
 whether each parity table holds one coin at every slot but the start
 site's (bits compared, not values); the C loop then reads that coin instead
-of the table, and runs its span loops in AVX2 clones where the CPU has
-AVX2 (see ckernel). evolve_absorbing's walks skip the check: their sink
-coins never make a table one coin. The bytes are the same on every path.
+of the table, and runs its span loops in AVX-512F or AVX2 clones where the
+CPU has them (see ckernel). evolve_absorbing's walks skip the check: their
+sink coins never make a table one coin. The bytes are the same on every
+path.
 
 evolve_absorbing runs on the same loop, untrimmed, as one light-cone walk
 with sink coins past the walls (see its docstring): parts * t_max^2 / 2
@@ -155,6 +157,15 @@ def _load_kernel():
 def light_cone_kernel() -> str:
     """Which loop steps light-cone walks in this process: "compiled" or "numpy"."""
     return "numpy" if _load_kernel() is None else "compiled"
+
+
+def light_cone_isa() -> str | None:
+    """The clone of the compiled loop's span functions this CPU runs: "avx512f", "avx2" or "baseline".
+
+    None where walks run in the numpy loop.
+    """
+    kernel = _load_kernel()
+    return None if kernel is None else kernel.isa
 
 
 def _real_walks(psi: np.ndarray, symmetric: bool) -> tuple[bool, tuple]:

@@ -46,6 +46,12 @@ def test_library_is_built_into_the_cache_once(cache):
     assert path.stat().st_mtime_ns == built  # loaded, not rebuilt
 
 
+def test_library_names_the_clone_this_cpu_runs(cache):
+    if ckernel.load() is None:
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    assert walker.light_cone_isa() == ckernel.load().isa in ("avx512f", "avx2", "baseline")
+
+
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
 def test_damaged_library_is_rebuilt(cache, compiled_sigma, damage, tmp_path, monkeypatch):
     whole = ckernel.library_path().read_bytes()
@@ -67,6 +73,7 @@ def test_unwritable_cache_falls_back_to_numpy(tmp_path, monkeypatch, compiled_si
     not_a_dir.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))  # the cache cannot be created under a file
     assert walker.light_cone_kernel() == "numpy"
+    assert walker.light_cone_isa() is None
     assert sigma_bytes() == compiled_sigma
 
 

@@ -390,6 +390,7 @@ def test_emit_results_files_and_rerun_bytes(tmp_path):
     assert manifest["plan"]["base_seed"] == plan.base_seed
     assert manifest["plan"]["t_max"] == plan.t_max
     assert manifest["environment"] == {"light_cone_kernel": walker.light_cone_kernel(),
+                                       "light_cone_isa": walker.light_cone_isa(),
                                        "light_cone_trim": walker._TINY,
                                        "python": platform.python_version(),
                                        "numpy": np.__version__}
@@ -402,6 +403,7 @@ def test_manifest_names_the_numpy_fallback_and_outputs_keep_their_bytes(tmp_path
     emit_results(run_sweep(plan), tmp_path / "numpy")
     manifest = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
     assert manifest["environment"]["light_cone_kernel"] == "numpy"
+    assert manifest["environment"]["light_cone_isa"] is None
     for name in ("cells.csv", "samples.csv"):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 

@@ -417,6 +417,17 @@ def test_compiled_loop_gives_the_numpy_loops_absorption_bytes(field, psi_ic, mon
         assert a.right.tobytes() == b.right.tobytes() and a.left.tobytes() == b.left.tobytes()
 
 
+def build_kernel(source: str, directory) -> object:
+    """lightcone_steps of source, built with the library's flags into directory."""
+    path = directory / "lightcone.so"
+    try:
+        subprocess.run([ckernel._CC, *ckernel._FLAGS, "-o", str(path), "-x", "c", "-"], input=source,
+                       text=True, capture_output=True, check=True, timeout=120)
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    return ckernel._open(path)
+
+
 @pytest.fixture(scope="module")
 def small_tiles(tmp_path_factory):
     """lightcone_steps built with tiles of 7 pair slots and edge chunks of 1 slot.
@@ -428,13 +439,7 @@ def small_tiles(tmp_path_factory):
     for name, size in (("TILE", 7), ("EDGE", 1)):
         source, count = re.subn(rf"^#define {name} \d+$", f"#define {name} {size}", source, flags=re.M)
         assert count == 1, f"no #define {name} line to rewrite"
-    path = tmp_path_factory.mktemp("small-tiles") / "lightcone.so"
-    try:
-        subprocess.run([ckernel._CC, *ckernel._FLAGS, "-o", str(path), "-x", "c", "-"], input=source,
-                       text=True, capture_output=True, check=True, timeout=120)
-    except (OSError, subprocess.SubprocessError):
-        pytest.skip("the compiled light-cone loop cannot be built here")
-    return ckernel._open(path)
+    return build_kernel(source, tmp_path_factory.mktemp("small-tiles"))
 
 
 @pytest.fixture
@@ -467,6 +472,59 @@ def test_small_tiles_give_the_numpy_loops_bytes(field, psi_ic, small_tile_loop, 
                     test_compiled_loop_gives_the_numpy_loops_absorption_bytes):
         compare(field, psi_ic, monkeypatch)
         monkeypatch.undo()
+
+
+CLONE_TARGETS = ("avx512f", "avx2", "baseline")  # the span functions' clones, in the resolver's order
+
+
+@pytest.fixture(scope="module", params=CLONE_TARGETS)
+def one_clone(request, tmp_path_factory):
+    """lightcone_steps with its span functions built for one of their clones' targets alone.
+
+    The library walks load runs the clone the resolver picks, so on a CPU
+    with AVX-512F no other test runs the AVX2 or the baseline span loops.
+    Each target the CPU lacks, as the library's ISA report says, is
+    skipped. These libraries' own reports still name the resolver's pick.
+    """
+    isa = walker.light_cone_isa()
+    if isa is None:
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    if CLONE_TARGETS.index(request.param) < CLONE_TARGETS.index(isa):
+        pytest.skip(f"this CPU runs no {request.param} code")
+    target = "" if request.param == "baseline" else f' __attribute__((target("{request.param}")))'
+    source, count = re.subn(r"^#define CLONED __attribute__\(\(target_clones\(.*$", f"#define CLONED{target}",
+                            ckernel._SOURCE, flags=re.M)
+    assert count == 1, "no #define CLONED target_clones line to rewrite"
+    return build_kernel(source, tmp_path_factory.mktemp(f"clone-{request.param}"))
+
+
+def sigma_and_absorption_bytes(field, psi_ic) -> tuple:
+    """evolve's sigma to 4096, and evolve_absorbing's records on walls 2 to 4096 sites apart, as bytes."""
+    absorbing = [evolve_absorbing(field, l, psi_ic, t_max) for l, t_max in [(1, 5), (3, 64), (8, 700), (12, 256)]]
+    return evolve(field, psi_ic, 4096).sigma.tobytes(), [(a.right.tobytes(), a.left.tobytes()) for a in absorbing]
+
+
+@pytest.fixture(scope="module")
+def numpy_loop_bytes():
+    """sigma_and_absorption_bytes in the numpy loop, computed once per field and spinor for all clones."""
+    cache = {}
+
+    def get(field, psi_ic):
+        key = id(field), id(psi_ic)  # both_loops' objects, which live as long as the session
+        if key not in cache:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(walker, "_load_kernel", lambda: None)
+                cache[key] = sigma_and_absorption_bytes(field, psi_ic)
+        return cache[key]
+
+    return get
+
+
+@both_loops
+def test_each_clone_gives_the_numpy_loops_bytes(field, psi_ic, one_clone, numpy_loop_bytes, monkeypatch):
+    """The sigma and absorption comparisons above, through the span loops of each clone this CPU can run."""
+    monkeypatch.setattr(walker, "_load_kernel", lambda: one_clone)
+    assert sigma_and_absorption_bytes(field, psi_ic) == numpy_loop_bytes(field, psi_ic)
 
 
 def window_bytes(field, psi_ic, times, tiny=None) -> list:
