@@ -61,6 +61,7 @@ The closed-line evolution never renormalizes: norm drift is a diagnostic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -426,8 +427,14 @@ class AbsorptionRecord:
         return np.cumsum(per_t)
 
     def generating_function(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(right, left) wall 2-vectors sum_t psi_t z^t, truncated at the recorded horizon."""
-        powers = np.cumprod(np.full(len(self.right), complex(z)))  # z^1 .. z^t_max
+        """(right, left) wall 2-vectors sum_t psi_t z^t, truncated at the recorded horizon.
+
+        A non-finite z is refused with ValueError, as rgflow.absorbed_amplitude refuses it.
+        """
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
+        powers = np.full(len(self.right), z).cumprod()  # z^1 .. z^t_max
         return powers @ self.right, powers @ self.left
 
 

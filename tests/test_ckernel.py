@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,15 +25,21 @@ def sigma_bytes() -> bytes:
     return evolve(FIELD, DEFAULT_IC, 1024).sigma.tobytes()
 
 
-@pytest.fixture
-def compiled_sigma(cache):
-    """sigma bytes of the compiled loop, built into the test's cache."""
-    if ckernel.load() is None:
-        pytest.skip("the compiled light-cone loop cannot be built here")
-    assert walker.light_cone_kernel() == "compiled"
-    out = sigma_bytes()
-    ckernel.load.cache_clear()
-    return out
+@pytest.fixture(scope="session")
+def built(tmp_path_factory):
+    """The session's one build of the library, in a cache of its own: its directory, bytes and sigma bytes."""
+    home = tmp_path_factory.mktemp("built-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(home))
+        ckernel.load.cache_clear()
+        try:
+            if ckernel.load() is None:
+                pytest.skip("the compiled light-cone loop cannot be built here")
+            assert walker.light_cone_kernel() == "compiled"
+            return SimpleNamespace(home=home, library=ckernel.library_path().read_bytes(),
+                                   sigma=sigma_bytes())
+        finally:
+            ckernel.load.cache_clear()
 
 
 def test_library_is_built_into_the_cache_once(cache):
@@ -46,42 +53,38 @@ def test_library_is_built_into_the_cache_once(cache):
     assert path.stat().st_mtime_ns == built  # loaded, not rebuilt
 
 
-def test_library_names_the_clone_this_cpu_runs(cache):
-    if ckernel.load() is None:
-        pytest.skip("the compiled light-cone loop cannot be built here")
+def test_library_names_the_clone_this_cpu_runs(cache, built, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(built.home))  # loaded, not built again
     assert walker.light_cone_isa() == ckernel.load().isa in ("avx512f", "avx2", "baseline")
 
 
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
-def test_damaged_library_is_rebuilt(cache, compiled_sigma, damage, tmp_path, monkeypatch):
-    whole = ckernel.library_path().read_bytes()
+def test_damaged_library_is_rebuilt(cache, built, damage):
+    whole = built.library
     bad = {"garbage": b"not a shared library\n" * 100, "truncated": whole[:len(whole) // 2],
            "empty": b""}[damage]
-    # a second cache: this process has the whole library mapped from the first one's path
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "damaged"))
     path = ckernel.library_path()
     path.parent.mkdir(parents=True)
     path.write_bytes(bad)
-    ckernel.load.cache_clear()
     assert walker.light_cone_kernel() == "compiled"
     assert path.read_bytes() != bad and not ckernel._truncated_elf(path)
-    assert sigma_bytes() == compiled_sigma
+    assert sigma_bytes() == built.sigma
 
 
-def test_unwritable_cache_falls_back_to_numpy(tmp_path, monkeypatch, compiled_sigma):
+def test_unwritable_cache_falls_back_to_numpy(cache, tmp_path, monkeypatch, built):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))  # the cache cannot be created under a file
     assert walker.light_cone_kernel() == "numpy"
     assert walker.light_cone_isa() is None
-    assert sigma_bytes() == compiled_sigma
+    assert sigma_bytes() == built.sigma
 
 
-def test_missing_compiler_falls_back_to_numpy(cache, monkeypatch, compiled_sigma, tmp_path):
+def test_missing_compiler_falls_back_to_numpy(cache, monkeypatch, built, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other-cache"))
     monkeypatch.setattr(ckernel, "_CC", str(tmp_path / "no-such-compiler"))
     assert walker.light_cone_kernel() == "numpy"
-    assert sigma_bytes() == compiled_sigma
+    assert sigma_bytes() == built.sigma
     assert list((tmp_path / "other-cache" / "hierwalk").iterdir()) == []  # no temporary left
 
 

@@ -1,4 +1,6 @@
 import math
+import platform
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from hierwalk import (
     evolve_absorbing,
 )
 from hierwalk import rgflow
-from hierwalk.rgflow import COND_LIMIT, _resolvent
+from hierwalk.rgflow import COND_LIMIT, _inverse_entries
+
+import rg_oracle
 
 
 def build_coin(theta):
@@ -120,6 +124,63 @@ def test_matches_matrix_recursion_on_random_fields():
     assert 0 < poles < 400  # both outcomes exercised
 
 
+def _bytes_or_pole(fn, *args):
+    """The wall vectors' bytes, or the refusal's message and condition."""
+    out = _outcome(fn, *args)
+    if isinstance(out, PoleProximalError):
+        return str(out), out.condition
+    return tuple(v.tobytes() for v in out)
+
+
+def test_matches_step_by_step_recursion_byte_for_byte():
+    # 800 fields x 5 z: each field's table is built at its first z and read at the others
+    rng = np.random.default_rng(2022)
+    spinors = (DEFAULT_IC, SYMMETRIC_IC, UP_IC, np.array([0.6, -0.8j]))
+    outcomes = {True: 0, False: 0}
+    for n in range(800):
+        l = int(rng.integers(1, 13))
+        field = CoinField(float(rng.uniform(0.05, 1.0)),
+                          DisorderSpec(model="hierarchical", W=float(rng.uniform(0.0, math.pi)),
+                                       seed=int(rng.integers(0, 2 ** 63))),
+                          2 ** l)
+        psi = spinors[n % len(spinors)]
+        for _ in range(5):
+            z = 1.2 * math.sqrt(rng.uniform()) * complex(np.exp(2j * math.pi * rng.uniform()))
+            cond_limit = float(rng.choice([COND_LIMIT, 2.1]))
+            got = _bytes_or_pole(absorbed_amplitude, l, field, z, psi, cond_limit)
+            want = _bytes_or_pole(rg_oracle.absorbed_amplitude, l, field, z, psi, cond_limit)
+            assert got == want, (l, z, cond_limit)  # the condition compared by ==
+            outcomes[isinstance(want[1], float)] += 1
+    assert min(outcomes.values()) > 100  # both refused and computed z points
+
+
+def test_table_lives_and_dies_with_its_field():
+    # CPython hands a dropped field's address to the next field: a table found by id()
+    # would give the next field the old coins, and one found by value would be shared
+    rng = np.random.default_rng(99)
+    ids = set()
+    for n in range(240):
+        l = 1 + n % 12
+        field = CoinField(0.7, DisorderSpec(model="hierarchical", W=math.pi * n / 240, seed=5), 2 ** l)
+        ids.add(id(field))
+        for z in (0.3 + 0.1j, complex(*rng.uniform(-0.5, 0.5, 2))):
+            assert (_bytes_or_pole(absorbed_amplitude, l, field, z, DEFAULT_IC)
+                    == _bytes_or_pole(rg_oracle.absorbed_amplitude, l, field, z, DEFAULT_IC))
+        twin = CoinField(0.7, DisorderSpec(model="hierarchical", W=math.pi * n / 240, seed=5), 2 ** l)
+        assert rgflow._level_inverses(twin) is not rgflow._level_inverses(field)
+        dropped = weakref.ref(field)
+        del field, twin
+        assert dropped() is None  # freed at once, and its table with it
+    if platform.python_implementation() == "CPython":
+        assert len(ids) < 240  # ids were reused
+
+
+def _coin_table(monkeypatch, coins):
+    """Make coins[k] the level-k coin of every field, through the recursion's per-field table."""
+    table = tuple(_inverse_entries(*np.asarray(c).ravel()) for c in coins)
+    monkeypatch.setattr(rgflow, "_level_inverses", lambda field: table)
+
+
 def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
     # Every coin the package builds is symmetric (c01 == c10), which makes G symmetric and
     # hides a swap of g01 and g10. Rotations are real, invertible, and have c01 = -c10.
@@ -130,7 +191,7 @@ def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
         angles = rng.uniform(0.1, math.pi - 0.1, l)
         coins = [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
                  for a in angles]
-        monkeypatch.setattr(rgflow, "_level_coin", lambda field, k: tuple(coins[k].ravel()))
+        _coin_table(monkeypatch, coins)
         field = UniformLevels(THETA0, l)  # its level angles go unused
         z = complex(*rng.uniform(-0.6, 0.6, 2))
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -148,16 +209,24 @@ def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
     assert checked > 150
 
 
-def test_resolvent_matches_matrix_resolvent():
-    # general coins: a level coin is symmetric, which keeps m_ab == m_ba in the recursion
+def test_resolvent_matches_matrix_resolvent(monkeypatch):
+    # general complex coins: a level coin is real and symmetric, which keeps m_ab == m_ba.
+    # At l = 2 the closing resolvent meets m_ab = z^2 g01 and m_ba = z^2 g10 of the first
+    # coin's G, two unrelated complex numbers; the unit spinors read G's columns one at a time.
     rng = np.random.default_rng(7)
     for _ in range(200):
-        coin = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m_ab, m_ba = rng.normal(size=2) + 1j * rng.normal(size=2)
-        sm = np.array([[0, m_ab], [m_ba, 0]])
-        got = _resolvent(tuple(coin.ravel()), m_ab, m_ba, COND_LIMIT)
-        want = _matrix_resolvent(coin, sm, COND_LIMIT)
-        np.testing.assert_allclose(got, want.ravel(), rtol=1e-12, atol=0)
+        coins = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+        _coin_table(monkeypatch, coins)
+        field = UniformLevels(THETA0, 2)  # its level angles go unused
+        z = complex(*rng.normal(size=2))
+        for psi in (UP_IC, np.array([0.0, 1.0])):
+            got = absorbed_amplitude(2, field, z, psi, math.inf)
+            want = matrix_amplitude(2, field, z, psi, math.inf, lambda k: coins[k])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            # and byte for byte the step-by-step recursion on the same coins
+            plain = rg_oracle.absorbed_amplitude(2, field, z, psi, math.inf,
+                                                 lambda field, k: tuple(coins[k].ravel()))
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in plain]
 
 
 def test_rg_init_examples():
@@ -201,20 +270,25 @@ def test_rg_step_z_zero_stays_zero():
 
 
 def test_rg_step_flags_ill_conditioned_resolvent():
-    coin = tuple(HADAMARD.ravel().real)
+    # at l = 1, S^M = 0 and G = C: the condition is ||C^-1||_1 ||C||_1 = 2 for the Hadamard coin
     with pytest.raises(PoleProximalError) as err:
-        _resolvent(coin, 0j, 0j, cond_limit=1.0)
-    assert err.value.condition > 1.0
+        absorbed_amplitude(1, CoinField(1.0, DisorderSpec(), 2), 0.3, SYMMETRIC_IC, cond_limit=1.0)
+    assert err.value.condition == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(PoleProximalError):
         absorbed_amplitude(3, CoinField(1.0, DisorderSpec(), 8), 0.9, SYMMETRIC_IC, cond_limit=1.0)
 
 
-def test_rg_step_flags_singular_coin():
+def test_rg_step_flags_singular_coin(monkeypatch):
+    field = UniformLevels(THETA0, 2)  # its level angles go unused
+    _coin_table(monkeypatch, [np.zeros((2, 2))])
     with pytest.raises(PoleProximalError, match="coin matrix is singular"):
-        _resolvent((0.0, 0.0, 0.0, 0.0), 0j, 0j, COND_LIMIT)
-    # identity coin with m_ab m_ba = 1: C^{-1} - S^M has determinant 0
-    with pytest.raises(PoleProximalError, match="resolvent is singular"):
-        _resolvent((1.0, 0.0, 0.0, 1.0), 1 + 0j, 1 + 0j, COND_LIMIT)
+        absorbed_amplitude(1, field, 0.3, SYMMETRIC_IC)
+    # the swap coin [[0, 1], [1, 0]] at z = 1 leaves m_ab = m_ba = 1, so the identity
+    # coin's C^{-1} - S^M has determinant 0
+    _coin_table(monkeypatch, [np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)])
+    with pytest.raises(PoleProximalError, match="resolvent is singular") as err:
+        absorbed_amplitude(2, field, 1.0, SYMMETRIC_IC)
+    assert err.value.condition == math.inf
 
 
 def test_homogeneity_minimal_order_doubles():
@@ -331,11 +405,17 @@ def test_absorbed_amplitude_rejects_bad_l():
         absorbed_amplitude(0, field, 0.3, SYMMETRIC_IC)
 
 
-@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf])
-def test_absorbed_amplitude_rejects_non_finite_z(z):
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf,
+                               math.nan, complex(1.0, math.nan)])
+@pytest.mark.parametrize("side", ["recursion", "walk"])
+def test_non_finite_z_is_refused(side, z):
+    # the recursion and the walk's generating function refuse it alike, without a numpy warning
     field = CoinField(1.0, DisorderSpec(), 8)
     with pytest.raises(ValueError, match="z must be finite"):
-        absorbed_amplitude(2, field, z, SYMMETRIC_IC)
+        if side == "recursion":
+            absorbed_amplitude(2, field, z, SYMMETRIC_IC)
+        else:
+            evolve_absorbing(field, 2, SYMMETRIC_IC, 8).generating_function(z)
 
 
 def test_absorbed_amplitude_rejects_unnormalized_spinor():
