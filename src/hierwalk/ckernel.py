@@ -20,30 +20,25 @@ cumulative sum, and adds their square root. Never build it with -ffast-math:
 that links code that flushes subnormals to zero in the whole process, numpy
 included, and lets the compiler reorder those sums.
 
-Where numpy steps one cone at a time and rescans the window at every even
-cone, the C steps the two cones from an even cone in one pass over the
+Where numpy steps one cone at a time and rescans the window at every cone
+0 mod 4, the C steps the two cones from an even cone in one pass over the
 window: the odd cone's amplitude at a slot is recomputed from two slots of
 the even cone, with the same products, and never stored. That halves the
 passes over memory; rescanning that often keeps the window's edges out of
 subnormal arithmetic, which costs far more per update than normal numbers.
 
-From an even cone c with four cones to go, one pass steps all four and
-leaves the state where it was (four_cones). The pair from cone c runs
-first on the window's two edges, into next_up and next_down, chunk by
-chunk until cone c + 2 has a kept slot at each edge; the trim at c + 2
-reads only those edges, so it drops the same slots and adds the same B as
-between two passes. The interior then runs in tiles of 256 slots: the
-pair from cone c writes cone c + 2 into a ring of two tiles on the stack,
-and the pair from cone c + 2 follows one tile behind and writes cone c + 4
-over cone c in up and down. The edges take their second pair from
-next_up and next_down. Where less than a tile lies between the edges,
-cone c + 2 is finished in next_up and next_down and the second pair runs
-over the whole window, as two passes would. A wide window thus crosses the
+From a cone c = 0 mod 4 with four cones to go, one pass steps all four,
+untrimmed at c + 2, and leaves the state where it was (four_cones). It
+runs in tiles of 256 slots: the pair from cone c writes cone c + 2 into a
+ring of two tiles on the stack, and the pair from cone c + 2 follows one
+tile behind and writes cone c + 4 over cone c in up and down. A window
+narrower than a tile is one partial tile. A wide window thus crosses the
 L2 cache once per four cones, reading and writing up and down, where two
 passes read two buffers and write two others each: some 32 bytes per
-slot and four cones instead of 96. On windows up to about 1,000 slots,
-whose four buffers fit the L1 cache, there is no traffic to save, and the
-pass's extra calls on its edges and tiles make an update some 15 % dearer.
+slot and four cones instead of 96. The rescan cones are counted from the
+start, not from where a call starts: from a cone 2 mod 4 one pair gets
+the loop back into step, so the state at a time does not depend on which
+earlier times were sampled.
 
 A pass streams only the coins that vary. Where every slot of a parity table
 but the start site's holds one coin, bit for bit, walker passes that
@@ -64,20 +59,20 @@ compiler with target_clones on x86 (GCC 6 on, clang 14 on) knows both
 feature names, so no compiler version is tested. The library's
 lightcone_isa() names the clone this CPU runs; `_open` keeps it as the
 loop's `isa`.
-The control code (the edge search, the trim, the ring's bookkeeping and
-the single steps) is built once, for the baseline, and calls them
-through a pointer; the span body is inlined nowhere else, which keeps the
-build under a second (inlined at every call site of a cloned control
-loop, it took 6.3 s). Elsewhere the default functions alone are built.
+The control code (the trim, the ring's bookkeeping and the single steps)
+is built once, for the baseline, and calls them through a pointer; the
+span body is inlined nowhere else, which keeps the build under a second
+(inlined at every call site of a cloned control loop, it took 6.3 s).
+Elsewhere the default functions alone are built.
 The flags name no -march: the CPU is asked when the library loads.
 
 None of this moves a byte. Every amplitude of cones c + 1 to c + 4 is the
-same span() products of the same inputs, whichever buffer or ring tile
-holds them, and the trim reads the same cone c + 2 it would read between
-two passes. A coin bit-equal to every table entry it stands for gives the
-same products, and every clone does the same IEEE operations per slot:
-each product rounded on its own, and the trim's sum of squares in order,
-in the baseline control code, as no reassociation is allowed. AVX-512F
+same span() products of the same inputs as two pairs give, whichever
+buffer or ring tile holds them, and both loops trim at the same cones. A
+coin bit-equal to every table entry it stands for gives the same
+products, and every clone does the same IEEE operations per slot: each
+product rounded on its own, and the trim's sum of squares in order, in
+the baseline control code, as no reassociation is allowed. AVX-512F
 encodes fused multiply-adds, so the products stay unfused only because
 -ffp-contract=off forbids contraction; CI checks that the library holds
 no fused multiply-add instruction.
@@ -98,10 +93,10 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-/* The four-cone pass steps its interior in tiles of TILE pair slots (at
-   least 2), and searches the window's edges in chunks of EDGE slots. */
+/* The four-cone pass steps the window in tiles of TILE pair slots, at
+   least 2: the second pair writes up at the first slot of the next tile,
+   which that tile's first pair reads at its first two slots. */
 #define TILE 256
-#define EDGE 16
 
 /* The span body is inlined into one function per coin case, so that each
    case compiles to its own loop. */
@@ -283,86 +278,42 @@ CLONED static void span_coin0(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w,
 CLONED static void span_coin1(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 0, 1); }
 CLONED static void span_coins(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 1, 1); }
 
-/* Four steps from the even cone c (pair p1, window [*lo, *hi)) to c + 4,
-   with the state in up and down before and after, and cone c + 2 trimmed
-   as it would be between two pairs. First the pair from cone c runs on the
-   window's edges into next_up and next_down, chunk by chunk, until cone
-   c + 2 has a kept slot at each edge; trim() at cone c + 2 then reads only
-   those edges. Between them, tile by tile, the pair from cone c writes
-   cone c + 2 into a ring of two tiles, and the pair from cone c + 2 (p2,
-   whose window the trim sets) runs one tile behind and writes cone c + 4
-   over cone c in up and down: it overwrites cone c at slots the next tile
-   reads, so that tile is stepped first. The edges take their second pair
-   from next_up and next_down. With less than a tile between the edges,
-   cone c + 2 is finished in next_up and next_down and the second pair runs
-   over the window. Every slot is the same span() products either way;
-   next_up and next_down stay zero outside the window, as the trim zeroes
-   the slots it drops in all four buffers. */
-static void four_cones(double *up, double *down, double *next_up, double *next_down,
-                       int64_t rows, int64_t n, int32_t mirror, double tiny,
-                       const struct pair *p1, struct pair *p2, int64_t *lo, int64_t *hi,
-                       double *dropped)
+/* Four steps from the cone c = 0 mod 4 (pair p1, window [lo, hi)) to
+   c + 4, untrimmed at c + 2, with the state in up and down before and
+   after. Tile by tile, the pair from cone c writes cone c + 2 into a ring
+   of two tiles, and the pair from cone c + 2 (p2, window [lo, hi + 2))
+   runs one tile behind and writes cone c + 4 over cone c in up and down:
+   it overwrites cone c at slots the next tile reads, so that tile is
+   stepped first. A window narrower than a tile is one partial tile. Every
+   slot is the same span() products as two pairs give. */
+static void four_cones(double *up, double *down, int64_t rows, int64_t n,
+                       const struct pair *p1, const struct pair *p2)
 {
     span_fn *const fn = p1->span;  /* and p2's: the two pairs' cones have the same parities */
-    int64_t el = *lo, er = *hi + 1;  /* the pair slots [lo, el) and [er, hi + 1) are done */
-    for (int64_t q = *lo; el < er;) {  /* slots of cone c + 2 below el are whole */
-        const int64_t b = el + EDGE < er ? el + EDGE : er;
-        for (int64_t r = 0; r < rows; r++)
-            fn(up + r * n, down + r * n, 0, next_up + r * n, next_down + r * n, 0, el, b, p1);
-        el = b;
-        while (q < el && !kept(next_up, next_down, rows, n, q, tiny))
-            q++;
-        if (q < el)
-            break;
-    }
-    for (int64_t q = *hi + 1; el < er;) {  /* and above er */
-        const int64_t a = er - EDGE > el ? er - EDGE : el;
-        for (int64_t r = 0; r < rows; r++)
-            fn(up + r * n, down + r * n, 0, next_up + r * n, next_down + r * n, 0, a, er, p1);
-        er = a;
-        while (q > er && !kept(next_up, next_down, rows, n, q, tiny))
-            q--;
-        if (q > er)
-            break;
-    }
-    double *const bufs[4] = {next_up, next_down, up, down};
-    *hi += 2;
-    trim(bufs, rows, n, mirror, tiny, lo, hi, dropped);
-    p2->lo = *lo;
-    p2->hi = *hi;
+    const int64_t lo = p1->lo, end = p1->hi + 1;  /* the first pair's slots [lo, end) */
     for (int64_t r = 0; r < rows; r++) {
-        double *u = up + r * n, *d = down + r * n, *nu = next_up + r * n, *nd = next_down + r * n;
-        if (er - el < TILE) {
-            fn(u, d, 0, nu, nd, 0, el, er, p1);
-            fn(nu, nd, 0, u, d, 0, *lo, *hi + 1, p2);
-            continue;
-        }
+        double *u = up + r * n, *d = down + r * n;
         /* cone c + 2 at the slots [a - 1, a + TILE + 1) of the tile [a, b), slot i at i - (a - 1) */
         double ring_u[2][TILE + 2], ring_d[2][TILE + 2];
-        int64_t a = el, b = el + TILE;
+        int64_t a = lo, b = lo + TILE < end ? lo + TILE : end;
+        ring_u[0][0] = ring_d[0][0] = 0.0;  /* the halo at lo - 1 */
         fn(u, d, 0, ring_u[0], ring_d[0], a - 1, a, b, p1);
-        ring_u[0][0] = nu[a - 1];  /* the halo, from the left edge */
-        ring_u[0][1] = nu[a];
-        ring_d[0][0] = nd[a - 1];
-        fn(nu, nd, 0, u, d, 0, *lo, el, p2);  /* after the first tile has read cone c at el - 1 and el */
-        for (int k = 0; a < er; k ^= 1) {
-            const int64_t a1 = b, b1 = b + TILE < er ? b + TILE : er;
-            double *hu = nu + b - 1, *hd = nd + b - 1;  /* where the halo goes: next_* after the last tile */
-            if (a1 < er) {
-                fn(u, d, 0, ring_u[k ^ 1], ring_d[k ^ 1], a1 - 1, a1, b1, p1);
-                hu = ring_u[k ^ 1];
-                hd = ring_d[k ^ 1];
-            }
-            hu[0] = ring_u[k][b - a];
-            hu[1] = ring_u[k][b - a + 1];
-            hd[0] = ring_d[k][b - a];
+        int k = 0;
+        while (b < end) {
+            const int64_t b1 = b + TILE < end ? b + TILE : end;
+            fn(u, d, 0, ring_u[k ^ 1], ring_d[k ^ 1], b - 1, b, b1, p1);
+            /* the halo: what the next tile's pair does not write, up at b - 1 and b, down at b - 1 */
+            ring_u[k ^ 1][0] = ring_u[k][b - a];
+            ring_u[k ^ 1][1] = ring_u[k][b - a + 1];
+            ring_d[k ^ 1][0] = ring_d[k][b - a];
             fn(ring_u[k], ring_d[k], a - 1, u, d, 0, a, b, p2);
-            a = a1;
+            a = b;
             b = b1;
+            k ^= 1;
         }
-        fn(nu, nd, 0, u, d, 0, er, *hi + 1, p2);
+        ring_d[k][end - a + 1] = 0.0;  /* cone c + 2's down at its last slot, hi + 1 */
+        fn(ring_u[k], ring_d[k], a - 1, u, d, 0, a, end + 2, p2);
     }
-    *hi += 2;
 }
 
 /* The pair from the even cone c with its coins from the tables of either
@@ -395,12 +346,14 @@ static struct pair pair_at(int64_t c, int64_t n, int32_t origin, const double *c
    amplitude of up and down is zero; it is read and written back, and so is
    *dropped, to which each trim adds the 2-norm of the psi it drops. next_up
    and next_down hold an earlier state, zero outside the window too. The
-   window is trimmed at every even cone. From an even cone, four steps run
-   as one pass that leaves the state in place (four_cones), or where fewer
-   remain, two as one pair; an odd t0 or t1 takes a single step. Returns 1
-   if the state ends in next_up and next_down, 0 if in up and down. The sin
-   and cos of cone c start at offset (n - 1 - c) / 2 of the tables for cone
-   n - 1 (cone parity equal to that of n - 1) or cone n - 2 (the other).
+   window is trimmed at every cone c = 0 mod 4, whatever t0, so the state
+   at t1 does not depend on where earlier calls stopped. From such a cone,
+   four steps run as one pass that leaves the state in place (four_cones);
+   from a cone c = 2 mod 4, or where fewer remain, two run as one pair; an
+   odd t0 or t1 takes a single step. Returns 1 if the state ends in next_up
+   and next_down, 0 if in up and down. The sin and cos of cone c start at
+   offset (n - 1 - c) / 2 of the tables for cone n - 1 (cone parity equal
+   to that of n - 1) or cone n - 2 (the other).
    The start site, slot c / 2 of even cones, has the identity coin if
    origin is set. coin_a (coin_b) is NULL, or the (sin, cos) held by every
    slot of table a (b) but the start site's: then pairs read it in place of
@@ -418,17 +371,20 @@ int lightcone_steps(double *up, double *down, double *next_up, double *next_down
     int64_t lo = window[0], hi = window[1];
     int swapped = 0;
     for (int64_t c = t0; c < t1;) {
-        if (c % 2 == 0) {
+        if (c % 4 == 0) {
             double *const bufs[4] = {up, down, next_up, next_down};
             trim(bufs, rows, n, mirror, tiny, &lo, &hi, dropped);
         }
-        const int64_t steps = c % 2 ? 1 : c + 4 <= t1 ? 4 : c + 2 <= t1 ? 2 : 1;
+        const int64_t steps = c % 2 ? 1 : c % 4 == 0 && c + 4 <= t1 ? 4 : c + 2 <= t1 ? 2 : 1;
         struct pair p = pair_at(c, n, origin, tsin, tcos, one);  /* read from even cones only */
         p.lo = lo;
         p.hi = hi;
         if (steps == 4) {
             struct pair p2 = pair_at(c + 2, n, origin, tsin, tcos, one);
-            four_cones(up, down, next_up, next_down, rows, n, mirror, tiny, &p, &p2, &lo, &hi, dropped);
+            p2.lo = lo;
+            p2.hi = hi + 2;
+            four_cones(up, down, rows, n, &p, &p2);
+            hi += 4;
         } else {
             const int64_t back = n - 1 - c;
             for (int64_t r = 0; r < rows; r++) {

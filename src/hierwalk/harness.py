@@ -225,14 +225,10 @@ def aggregate_cell(
 
 def _env_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
-    message = f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if workers < 1:
-        raise ValueError(message)
-    return workers
+    # ASCII digits only: int() also takes signs, spaces, underscores and other scripts' digits
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _fork_map(run, n_jobs: int, workers: int) -> list:
@@ -567,6 +563,8 @@ def read_samples_csv(path, base_seed: int = 0) -> tuple:
                     (float(eps_s), float(w_s), model, int(inst_s)), (lineno, [], []))
                 ts.append(int(t_s))
                 sigs.append(float(sig_s))
+                if not math.isfinite(sigs[-1]):  # here, to name its line; SigmaSeries names the record's first
+                    raise ValueError(f"sigma must be finite, got {sig_s!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     records = []

@@ -42,6 +42,8 @@ class SigmaSeries:
             raise ValueError("sample times must be >= 1")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
         if np.any(sigma < 0):
             raise ValueError("sigma must be non-negative")
         if np.any(sigma > t + 1e-9):

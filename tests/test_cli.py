@@ -402,6 +402,45 @@ def test_fit_names_file_and_line_of_record_out_of_time_order(capsys, tmp_path):
     assert "samples.csv:2: sample times must be strictly increasing" in err
 
 
+def test_fit_names_file_and_line_of_non_finite_sigma(capsys, tmp_path):
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+        "--instances", "1", "--t-max", "64", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    samples = out_dir / "samples.csv"
+    lines = samples.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"  # line 5: one sigma edited by hand
+    samples.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "fit", "--results-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "samples.csv:5: sigma must be finite, got 'nan'" in err
+
+
+def _refuse_to_walk(*args, **kwargs):
+    raise AssertionError("a walk ran before the spinor was checked")
+
+
+@pytest.mark.parametrize("value", ["nan,0", "1,nanj", "0.6,infj"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "rg"])
+def test_non_finite_spinor_is_refused_before_any_walk(capsys, tmp_path, monkeypatch, command, value):
+    monkeypatch.setattr("hierwalk.harness._run_instance", _refuse_to_walk)
+    out_dir = tmp_path / "results"
+    argv = {
+        "simulate": ("simulate", "--epsilon", "0.8", "--t-max", "256"),
+        "sweep": ("sweep", "--epsilon", "0.8", "--W", "0.5", "--model", "hierarchical",
+                  "--instances", "2", "--t-max", "256", "--out-dir", str(out_dir)),
+        "rg": ("rg", "--l", "3", "--epsilon", "0.6", "--z-re", "0.3"),
+    }[command]
+    code, out, err = run_cli(capsys, *argv, f"--psi-ic={value}")
+    assert code == 1
+    assert out == ""
+    assert "initial spinor must be finite" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["simulate", "sweep", "fit"])
 def test_non_finite_threshold_is_refused_before_any_walk_or_read(

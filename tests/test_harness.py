@@ -332,7 +332,7 @@ def test_worker_count_env_var(monkeypatch):
     assert pooled.cells == serial.cells
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", "1_0", " 2 "])
 def test_worker_count_env_var_rejects_bad_values(monkeypatch, value):
     from hierwalk.harness import WORKERS_ENV
 

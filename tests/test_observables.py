@@ -85,6 +85,12 @@ def test_series_rejects_superluminal_sigma():
         make_series([2, 4], [1.0, 5.0])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_sigma(value):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        make_series([2, 4], [1.0, value])
+
+
 # --- extrapolation points -----------------------------------------------------
 
 

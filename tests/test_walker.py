@@ -146,9 +146,10 @@ def full_cone_reference_states(field, psi_ic, t_max, tau):
 
     The plain complex numpy light-cone loop, the oracle for the real, trimmed
     kernel, run twice in the rows of (2, t_max + 1) arrays: row 0 untrimmed,
-    row 1 trimmed by the kernel's rule. At every even cone row 1 zeros its edge
-    slots whose four parts are all below tau, and B sums the 2-norms it zeroed.
-    up and down are copies; B is row 1's.
+    row 1 trimmed by the kernel's rule. At every cone 0 mod
+    walker._RESCAN_PERIOD row 1 zeros its edge slots whose four parts are all
+    below tau, and B sums the 2-norms it zeroed. up and down are copies; B is
+    row 1's.
     """
     up = np.zeros((2, t_max + 1), dtype=complex)
     down = np.zeros((2, t_max + 1), dtype=complex)
@@ -156,7 +157,7 @@ def full_cone_reference_states(field, psi_ic, t_max, tau):
     bound = 0.0
     for t in range(1, t_max + 1):
         c = t - 1
-        if c % 2 == 0:
+        if c % walker._RESCAN_PERIOD == 0:
             parts = np.stack([up[1].real, up[1].imag, down[1].real, down[1].imag])[:, :t]
             kept = np.flatnonzero(np.any(np.abs(parts) >= tau, axis=0))
             cut = np.r_[0:kept[0], kept[-1] + 1:t]
@@ -338,8 +339,8 @@ def test_trim_leaves_exact_zeros_beyond_the_window():
     """The edges a rescan drops are zeroed, not left behind.
 
     On the Hadamard walk amplitudes fall below the trim threshold tau at the
-    cone edges from t ~ 200 on. The window is rescanned at every even cone and
-    grows by one slot per step, so the nonzero slots beyond the outermost
+    cone edges from t ~ 200 on. The window is rescanned at every cone 0 mod 4
+    and grows by one slot per step, so the nonzero slots beyond the outermost
     amplitudes >= tau number at most 2 on each side; the rescan period of 32
     used before two cones per pass fails here. Odd and even t read different
     buffers.
@@ -379,10 +380,11 @@ def both_loops(test):
 def test_compiled_loop_gives_the_numpy_loops_bytes(field, psi_ic, monkeypatch):
     if walker.light_cone_kernel() != "compiled":
         pytest.skip("the compiled light-cone loop cannot be built here")
-    # the compiled loop steps two cones per pass from even cones, one otherwise:
-    # single steps (0 -> 1, 1 -> 2, 2 -> 3, 3 -> 5, 5 -> 6), a lone pair (0 -> 2, where
-    # the window's edges are the origin's slots), a step at odd cone 33 then pairs
-    # (33 -> 1024), pairs then a step at an even cone (6 -> 31, 1024 -> 4095)
+    # the compiled loop steps four cones per pass from cones 0 mod 4, two from other
+    # even cones, one otherwise: single steps (0 -> 1, 1 -> 2, 2 -> 3, 3 -> 5, 5 -> 6),
+    # a lone pair (0 -> 2, where the window's edges are the origin's slots), a step at
+    # odd cone 33 then a pair and passes (33 -> 1024), a pair, passes, a pair and a step
+    # at an even cone (6 -> 31), passes then a pair and a step (1024 -> 4095)
     grid = (1, 2, 3, 5, 6, 31, 32, 33, 1024, 4095, 4096)
     psi = walker._as_spinor(psi_ic)
     for times in (grid, grid[1:]):
@@ -430,15 +432,13 @@ def build_kernel(source: str, directory) -> object:
 
 @pytest.fixture(scope="module")
 def small_tiles(tmp_path_factory):
-    """lightcone_steps built with tiles of 7 pair slots and edge chunks of 1 slot.
+    """lightcone_steps built with tiles of 7 pair slots.
 
-    Ring and edge-chunk boundaries then fall inside every walk wider than
-    a few slots, and a trim's edge search crosses several chunks.
+    Ring boundaries then fall inside every walk wider than a few slots, and
+    the last tile of a pass is partial in most of them.
     """
-    source = ckernel._SOURCE
-    for name, size in (("TILE", 7), ("EDGE", 1)):
-        source, count = re.subn(rf"^#define {name} \d+$", f"#define {name} {size}", source, flags=re.M)
-        assert count == 1, f"no #define {name} line to rewrite"
+    source, count = re.subn(r"^#define TILE \d+$", "#define TILE 7", ckernel._SOURCE, flags=re.M)
+    assert count == 1, "no #define TILE line to rewrite"
     return build_kernel(source, tmp_path_factory.mktemp("small-tiles"))
 
 
@@ -466,7 +466,7 @@ def compiled_loop(request):
 
 @both_loops
 def test_small_tiles_give_the_numpy_loops_bytes(field, psi_ic, small_tile_loop, monkeypatch):
-    """The three comparisons above, through the library with tiles of 7 slots and edge chunks of 1."""
+    """The three comparisons above, through the library with tiles of 7 slots."""
     for compare in (test_compiled_loop_gives_the_numpy_loops_bytes,
                     test_compiled_loop_gives_the_numpy_loops_sigma_bytes,
                     test_compiled_loop_gives_the_numpy_loops_absorption_bytes):
@@ -558,14 +558,13 @@ def test_compiled_loop_gives_the_numpy_loops_bytes_with_the_start_site_on_tile_b
                                                                                         monkeypatch):
     """Untrimmed, the start site crosses tile boundaries, where its identity coin is peeled.
 
-    With tiny = 0 the window is the whole cone and its first edge chunk
-    holds a kept slot, so the tiles of the pass from cone c start at slot
-    EDGE + k TILE (16 + 256 k, or 1 + 7 k for the small tiles). The start
-    site sits at slot c / 2 for the first pair and c / 2 + 1 for the
-    second; with passes from cones 0 mod 4, and from 2 mod 4 after a
-    single step, those run through every slot up to 598, so they meet each
-    tile boundary below it (272 and 528 for the default tiles). The two
-    walks have an odd and an even number of slots per buffer.
+    With tiny = 0 the window is the whole cone, so the tiles of the pass
+    from cone c start at slot k TILE (256 k, or 7 k for the small tiles).
+    The start site sits at slot c / 2 for the first pair and c / 2 + 1 for
+    the second; passes run from every cone 0 mod 4 below 1197, so those
+    run through every slot up to 599 and meet each tile boundary below it
+    (256 and 512 for the default tiles). The two walks have an odd and an
+    even number of slots per buffer.
     """
     field = hadamard_field(1200)
     for times in ((1200,), (1, 1199)):
@@ -575,23 +574,59 @@ def test_compiled_loop_gives_the_numpy_loops_bytes_with_the_start_site_on_tile_b
 
 def test_compiled_loop_gives_the_numpy_loops_bytes_where_the_right_edge_sets_the_left_trim(compiled_loop,
                                                                                          monkeypatch):
-    """A mirror walk whose window's left edge is the mirror of its right edge, trimmed inside four-cone passes.
+    """A mirror walk whose window's left edge is the mirror of its right edge, trimmed between four-cone passes.
 
-    A walk from cone 0 trims inside a pass at cones 2 mod 4, from edges
-    the pass stepped first. At some of those the first kept slot from the
-    left lies beyond the mirror of the last kept one, so the trim keeps
-    slots left of it that are all below tau.
+    The walk trims at cones 0 mod 4, each before the pass from that cone.
+    At some of those the first kept slot from the left lies beyond the
+    mirror of the last kept one, so the trim keeps slots left of it that
+    are all below tau.
     """
     field = CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 2048)
     psi = walker._as_spinor(DEFAULT_IC)
     monkeypatch.setattr(walker, "_load_kernel", lambda: None)
     right_sets_left = []
-    for _, up, down, lo, hi, _ in walker._windows(field.trig_slice, psi, range(2, 2049, 4), True, ("real",)):
+    for _, up, down, lo, hi, _ in walker._windows(field.trig_slice, psi, range(4, 2049, 4), True, ("real",)):
         kept = np.flatnonzero((np.abs(up[0, lo:hi]) >= walker._TINY) | (np.abs(down[0, lo:hi]) >= walker._TINY))
         right_sets_left.append(hi - lo - 1 - kept[-1] < kept[0])
     assert any(right_sets_left)
     monkeypatch.undo()
     assert_loops_agree(partial(window_bytes, field, DEFAULT_IC, (2048,)), monkeypatch)
+
+
+GRID_T = 1536  # 3 * 2^9: the default grid ends there too
+
+
+@pytest.mark.parametrize("field, psi_ic", [
+    (CoinField(1.0, DisorderSpec(), 2048), DEFAULT_IC),
+    # the strong-barrier corner, where the window stays narrow
+    (CoinField(0.2, DisorderSpec(model="hierarchical", W=math.pi, seed=1), 2048), DEFAULT_IC),
+    (CoinField(0.2, DisorderSpec(model="hierarchical", W=math.pi, seed=1), 2048), MIXED_IC),
+    (CoinField(0.6, DisorderSpec(model="extensive", W=math.pi / 4, seed=5), 2048), MIXED_IC),
+], ids=["hadamard", "corner_mirror", "corner_two_rows", "extensive_two_rows"])
+def test_the_state_does_not_depend_on_the_sample_grid(field, psi_ic, request, monkeypatch):
+    """The window is trimmed at cones 0 mod 4, counted from the start, not from where a call starts.
+
+    Grids that end at T stop the loop at odd times, at every time, at cones
+    2 mod 4 only, and on the default grid. The bytes of up, down, lo, hi
+    and B at T must be one value on every grid, in the numpy loop, the
+    compiled loop and the compiled loop with tiles of 7 slots.
+    """
+    grids = [(GRID_T,), (1, 3, 5, *range(6, GRID_T + 1)), (*range(2, GRID_T, 4), GRID_T),
+             default_sample_times(GRID_T)]
+    assert all(grid[-1] == GRID_T for grid in grids)
+    kernels = [None]
+    if walker.light_cone_kernel() == "compiled":
+        kernels += [ckernel.load(), request.getfixturevalue("small_tiles")]
+    psi = walker._as_spinor(psi_ic)
+    mirror, parts = walker._real_walks(psi, field.mirror_symmetric)
+    states = []
+    for kernel in kernels:
+        monkeypatch.setattr(walker, "_load_kernel", lambda: kernel)
+        for grid in grids:
+            *_, (t, up, down, lo, hi, bound) = walker._windows(field.trig_slice, psi, grid, mirror, parts)
+            states.append((t, up.tobytes(), down.tobytes(), lo, hi, bound))
+    assert len(states) == len(kernels) * len(grids)
+    assert len(set(states)) == 1
 
 
 def record_one_coins(monkeypatch) -> dict:
