@@ -20,38 +20,41 @@ cumulative sum, and adds their square root. Never build it with -ffast-math:
 that links code that flushes subnormals to zero in the whole process, numpy
 included, and lets the compiler reorder those sums.
 
-Where numpy steps one cone at a time and rescans the window at every cone
-0 mod 4, the C steps the two cones from an even cone in one pass over the
-window: the odd cone's amplitude at a slot is recomputed from two slots of
-the even cone, with the same products, and never stored. That halves the
-passes over memory; rescanning that often keeps the window's edges out of
-subnormal arithmetic, which costs far more per update than normal numbers.
-
-From a cone c = 0 mod 4 with four cones to go, one pass steps all four,
-untrimmed at c + 2, and leaves the state where it was (four_cones). It
-runs in tiles of 256 slots: the pair from cone c writes cone c + 2 into a
-ring of two tiles on the stack, and the pair from cone c + 2 follows one
-tile behind and writes cone c + 4 over cone c in up and down. A window
+Both loops keep a walk's state in one pair of buffers, up and down, and
+every step leaves it there. Both rescan the window at every cone 0 mod 4,
+which keeps the window's edges out of subnormal arithmetic, far costlier
+per update than normal numbers. The rescan cones are counted from the
+start, not from where a call starts, so the state at a time does not
+depend on which earlier times were sampled. Where numpy steps one cone at
+a time, the C steps the four cones from a rescan cone c in one pass,
+untrimmed at c + 2 (four_cones). The pass is made of pairs: the pair from
+an even cone recomputes the odd cone's amplitude at a slot from two slots
+of the even cone, with the same products, and never stores it. It runs in
+tiles of 256 slots: the pair from cone c writes cone c + 2 into a ring of
+two tiles on the stack, and the pair from cone c + 2 follows one tile
+behind and writes cone c + 4 over cone c in up and down. A window
 narrower than a tile is one partial tile. A wide window thus crosses the
-L2 cache once per four cones, reading and writing up and down, where two
-passes read two buffers and write two others each: some 32 bytes per
-slot and four cones instead of 96. The rescan cones are counted from the
-start, not from where a call starts: from a cone 2 mod 4 one pair gets
-the loop back into step, so the state at a time does not depend on which
-earlier times were sampled.
+L2 cache once per four cones, reading and writing up and down: some 32
+bytes per slot and four cones, where two-cone passes between two buffer
+pairs moved 96. Every other cone takes a single step in place, right to
+left (step()): those a call steps before its first rescan cone, and those
+after its last pass, when fewer than four steps are left. On the default
+sample grid only cones 0 to 7 do.
 
 A pass streams only the coins that vary. Where every slot of a parity table
 but the start site's holds one coin, bit for bit, walker passes that
 (sin, cos) as coin_a or coin_b, and span() multiplies by it instead of
 loading the table. On the fields of shared levels (models none and
 hierarchical) every odd site is level 0, so every odd cone has one coin; on
-the Hadamard field every cone has. span(), the loop over a range of slots
-that every pass calls, is one body that two constant flags specialize; it
-is inlined into one function per coin case, so each case compiles to its
-own loop.
+the Hadamard field every cone has. A pair reads its even cone's one coin
+only where its odd cone has one too; else the table, whose every entry it
+reads is bit-equal to that coin. span(), the loop over a range of slots
+that the pass calls, is one body that two constant flags specialize; it
+is inlined into one function per coin case (tables, one coin for the odd
+cone, one for both), so each case compiles to its own loop.
 
 Where the compiler has target_clones, on x86-64 with glibc (whose ifuncs
-pick a clone per CPU when the library loads), each of those four functions
+pick a clone per CPU when the library loads), each of those three functions
 is built three times: for AVX-512F, for AVX2 and for the x86-64 baseline.
 The resolver takes the AVX-512F clone where the CPU and the OS support it,
 else the AVX2 one, else the baseline. That guard is the only one: every
@@ -67,7 +70,7 @@ Elsewhere the default functions alone are built.
 The flags name no -march: the CPU is asked when the library loads.
 
 None of this moves a byte. Every amplitude of cones c + 1 to c + 4 is the
-same span() products of the same inputs as two pairs give, whichever
+same products of the same inputs as four single steps give, whichever
 buffer or ring tile holds them, and both loops trim at the same cones. A
 coin bit-equal to every table entry it stands for gives the same
 products, and every clone does the same IEEE operations per slot: each
@@ -102,7 +105,7 @@ _SOURCE = r"""
    case compiles to its own loop. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* Each of those four functions gets an AVX-512F clone, an AVX2 one and a
+/* Each of those three functions gets an AVX-512F clone, an AVX2 one and a
    default one, chosen for the CPU when the library loads (an ifunc, so
    x86-64 and glibc only); elsewhere the default alone. Every compiler with
    target_clones on x86 knows both features. The control code is built
@@ -142,19 +145,19 @@ static int kept(const double *up, const double *down, int64_t rows, int64_t n,
 }
 
 /* Move the window [lo, hi) past its edge slots whose every amplitude is
-   below tiny, and zero those slots in all four buffers. Adds to *dropped
+   below tiny, and zero those slots in up and down. Adds to *dropped
    the 2-norm of the psi the state loses: the rows' up and down amplitudes
    at the dropped slots, and as much again for the mirror image of a mirror
    walk, whose dropped slots are these slots' mirrors. The squares are
    summed row by row, up before down, left edge before right. Reads no slot
    beyond the first kept one from either edge, and the dropped ones. */
-static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
+static void trim(double *up, double *down, int64_t rows, int64_t n, int32_t mirror,
                  double tiny, int64_t *lo, int64_t *hi, double *dropped)
 {
     int64_t first = *lo, last = *hi - 1;
-    while (first < *hi && !kept(bufs[0], bufs[1], rows, n, first, tiny))
+    while (first < *hi && !kept(up, down, rows, n, first, tiny))
         first++;
-    while (last > first && !kept(bufs[0], bufs[1], rows, n, last, tiny))
+    while (last > first && !kept(up, down, rows, n, last, tiny))
         last--;
     if (first == *hi)  /* never true: the state keeps its unit norm */
         return;
@@ -168,46 +171,45 @@ static void trim(double *const bufs[4], int64_t rows, int64_t n, int32_t mirror,
     double sq = 0.0;
     for (int64_t r = 0; r < rows; r++)
         for (int b = 0; b < 2; b++) {
-            const double *a = bufs[b] + r * n;
-            for (int64_t q = *lo; q < new_lo; q++)
+            double *a = (b ? down : up) + r * n;
+            for (int64_t q = *lo; q < new_lo; q++) {
                 sq += a[q] * a[q];
-            for (int64_t q = new_hi; q < *hi; q++)
+                a[q] = 0.0;
+            }
+            for (int64_t q = new_hi; q < *hi; q++) {
                 sq += a[q] * a[q];
+                a[q] = 0.0;
+            }
         }
     *dropped += sqrt(mirror ? 2.0 * sq : sq);
-    for (int b = 0; b < 4; b++)
-        for (int64_t r = 0; r < rows; r++) {
-            for (int64_t q = *lo; q < new_lo; q++)
-                bufs[b][r * n + q] = 0.0;
-            for (int64_t q = new_hi; q < *hi; q++)
-                bufs[b][r * n + q] = 0.0;
-        }
     *lo = new_lo;
     *hi = new_hi;
 }
 
-/* One step of one walk over the window [lo, hi), with the origin's identity
-   coin at slot q0 (pass -1 on odd cones, or for no identity). nd[hi] is not stored: it lies
-   beyond the older state's window, so it holds +0.0 already. */
-static void step(const double *restrict u, const double *restrict d,
-                 double *restrict nu, double *restrict nd,
-                 const double *s, const double *co, int64_t lo, int64_t hi, int64_t q0)
+/* One step of one walk over the window [lo, hi), in place, with the origin's
+   identity coin at slot q0 (pass -1 on odd cones, or for no identity). It
+   runs right to left: slot q reads u[q] and d[q], then writes u[q + 1],
+   which slot q + 1 has read, and d[q]. d[hi] is not stored: it lies outside
+   the window, so it holds +0.0 already. */
+static void step(double *restrict u, double *restrict d, const double *s, const double *co,
+                 int64_t lo, int64_t hi, int64_t q0)
 {
-    for (int64_t q = lo; q < hi; q++) {
-        nu[q + 1] = s[q] * u[q] + co[q] * d[q];
-        nd[q] = co[q] * u[q] - s[q] * d[q];
+    for (int64_t q = hi - 1; q >= lo; q--) {
+        const double uq = u[q], dq = d[q];
+        if (q == q0) {  /* the identity: d[q] stays */
+            u[q + 1] = uq;
+            continue;
+        }
+        u[q + 1] = s[q] * uq + co[q] * dq;
+        d[q] = co[q] * uq - s[q] * dq;
     }
-    if (lo <= q0 && q0 < hi) {
-        nu[q0 + 1] = u[q0];
-        nd[q0] = d[q0];
-    }
-    nu[lo] = 0.0;
+    u[lo] = 0.0;
 }
 
-/* The two steps from an even cone c: the coins of cone c (s0, c0) and of
-   cone c + 1 (s1, c1), each a table or, in its coin case, one (sin, cos)
-   at index 0; cone c's window [lo, hi), its origin slot q0 (-1 for none),
-   and the span function of its coin case. */
+/* The two steps from an even cone c, a pair: the coins of cone c (s0, c0)
+   and of cone c + 1 (s1, c1), each a table or, in its coin case, one
+   (sin, cos) at index 0; cone c's window [lo, hi), its origin slot q0 (-1
+   for none), and the span function of its coin case. */
 struct pair;
 #define SPAN_PARAMS const double *restrict u, const double *restrict d, int64_t io, \
                     double *restrict nu, double *restrict nd, int64_t oo, int64_t a, int64_t b, \
@@ -234,9 +236,9 @@ INLINE double coin(const double *a, int64_t p, int one)
    nd[i - oo]. A span that starts at lo stores +0.0 up there. The slots
    that are not the coins' are peeled: +0.0 up at lo, +0.0 down at hi, and
    the identity coin, down at q0 and up at q0 + 1. With one0 (one1) set,
-   cone c (c + 1) has one coin; the callers pass constants, so each of the
-   four cases compiles to its own loop, which streams only the tables that
-   vary. */
+   cone c (c + 1) has one coin, and one0 only with one1; the callers pass
+   constants, so each of the three cases compiles to its own loop, which
+   streams only the tables that vary. */
 INLINE void span(const double *restrict u, const double *restrict d, int64_t io,
                  double *restrict nu, double *restrict nd, int64_t oo, int64_t a, int64_t b,
                  const struct pair *w, const int one0, const int one1)
@@ -272,9 +274,8 @@ INLINE void span(const double *restrict u, const double *restrict d, int64_t io,
         nu[lo - oo] = 0.0;
 }
 
-/* the span of each coin case: tables for both cones, one coin for cone c, for c + 1, for both */
+/* the span of each coin case: tables for both cones, one coin for cone c + 1, for both */
 CLONED static void span_tables(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 0, 0); }
-CLONED static void span_coin0(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 1, 0); }
 CLONED static void span_coin1(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 0, 1); }
 CLONED static void span_coins(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w, 1, 1); }
 
@@ -284,8 +285,7 @@ CLONED static void span_coins(SPAN_PARAMS) { span(u, d, io, nu, nd, oo, a, b, w,
    of two tiles, and the pair from cone c + 2 (p2, window [lo, hi + 2))
    runs one tile behind and writes cone c + 4 over cone c in up and down:
    it overwrites cone c at slots the next tile reads, so that tile is
-   stepped first. A window narrower than a tile is one partial tile. Every
-   slot is the same span() products as two pairs give. */
+   stepped first. A window narrower than a tile is one partial tile. */
 static void four_cones(double *up, double *down, int64_t rows, int64_t n,
                        const struct pair *p1, const struct pair *p2)
 {
@@ -316,95 +316,80 @@ static void four_cones(double *up, double *down, int64_t rows, int64_t n,
     }
 }
 
-/* The pair from the even cone c with its coins from the tables of either
-   parity, or their one coins, and the start site's slot c / 2 if origin is
-   set. The window is the caller's. Cone c takes table a where n - 1 - c is
-   even, b where it is odd, so which of coin_a and coin_b is cone c's
-   depends on the parity of n. */
-static struct pair pair_at(int64_t c, int64_t n, int32_t origin, const double *const tsin[2],
-                           const double *const tcos[2], const double *const one[2])
+/* The pair from the even cone c over the window [lo, hi), with its coins
+   from the tables of either parity, or their one coins, and the start
+   site's slot c / 2 if origin is set. Cone c takes table a where n - 1 - c
+   is even, b where it is odd, so which of coin_a and coin_b is cone c's
+   depends on the parity of n. Cone c reads its one coin only where cone
+   c + 1 has one too; else its table, every entry of which but the start
+   site's, which span() peels, is bit-equal to that coin. */
+static struct pair pair_at(int64_t c, int64_t lo, int64_t hi, int64_t n, int32_t origin,
+                           const double *const tsin[2], const double *const tcos[2],
+                           const double *const one[2])
 {
     const int64_t back = n - 1 - c;
     const int t0 = back & 1, t1 = !t0;  /* the tables of cone c and of cone c + 1 */
     struct pair w = {tsin[t0] + back / 2, tcos[t0] + back / 2, tsin[t1] + (back - 1) / 2,
-                     tcos[t1] + (back - 1) / 2, 0, 0, origin ? c / 2 : -1,
-                     one[t0] ? (one[t1] ? span_coins : span_coin0) : (one[t1] ? span_coin1 : span_tables)};
-    if (one[t0]) {
-        w.s0 = one[t0];
-        w.c0 = one[t0] + 1;
-    }
+                     tcos[t1] + (back - 1) / 2, lo, hi, origin ? c / 2 : -1, span_tables};
     if (one[t1]) {
         w.s1 = one[t1];
         w.c1 = one[t1] + 1;
+        w.span = span_coin1;
+        if (one[t0]) {
+            w.s0 = one[t0];
+            w.c0 = one[t0] + 1;
+            w.span = span_coins;
+        }
     }
     return w;
 }
 
-/* Step rows (1 or 2) real walks from time t0 to t1 >= t0. Each buffer holds
-   the rows one after the other, n slots each; slot q of cone c is site
-   x = -c + 2q. window = [lo, hi) is the slot range outside which every
-   amplitude of up and down is zero; it is read and written back, and so is
-   *dropped, to which each trim adds the 2-norm of the psi it drops. next_up
-   and next_down hold an earlier state, zero outside the window too. The
-   window is trimmed at every cone c = 0 mod 4, whatever t0, so the state
-   at t1 does not depend on where earlier calls stopped. From such a cone,
-   four steps run as one pass that leaves the state in place (four_cones);
-   from a cone c = 2 mod 4, or where fewer remain, two run as one pair; an
-   odd t0 or t1 takes a single step. Returns 1 if the state ends in next_up
-   and next_down, 0 if in up and down. The sin and cos of cone c start at
-   offset (n - 1 - c) / 2 of the tables for cone n - 1 (cone parity equal
-   to that of n - 1) or cone n - 2 (the other).
+/* Step rows (1 or 2) real walks in up and down from time t0 to t1 >= t0,
+   in place. Each buffer holds the rows one after the other, n slots each;
+   slot q of cone c is site x = -c + 2q. window = [lo, hi) is the slot
+   range outside which every amplitude of up and down is zero; it is read
+   and written back, and so is *dropped, to which each trim adds the 2-norm
+   of the psi it drops. The window is trimmed at every cone c = 0 mod 4,
+   whatever t0, so the state at t1 does not depend on where earlier calls
+   stopped. From such a cone with four steps to go, the four run as one
+   pass (four_cones); every other cone takes a single step. The sin and cos
+   of cone c start at offset (n - 1 - c) / 2 of the tables for cone n - 1
+   (cone parity equal to that of n - 1) or cone n - 2 (the other).
    The start site, slot c / 2 of even cones, has the identity coin if
    origin is set. coin_a (coin_b) is NULL, or the (sin, cos) held by every
-   slot of table a (b) but the start site's: then pairs read it in place of
-   the table. */
-int lightcone_steps(double *up, double *down, double *next_up, double *next_down,
-                    int64_t rows, int64_t n, int32_t mirror, int32_t origin,
-                    const double *sin_a, const double *cos_a,
-                    const double *sin_b, const double *cos_b,
-                    const double *coin_a, const double *coin_b,
-                    int64_t t0, int64_t t1, double tiny, int64_t *window,
-                    double *dropped)
+   slot of table a (b) but the start site's: then passes may read it in
+   place of the table. */
+void lightcone_steps(double *up, double *down, int64_t rows, int64_t n, int32_t mirror, int32_t origin,
+                     const double *sin_a, const double *cos_a,
+                     const double *sin_b, const double *cos_b,
+                     const double *coin_a, const double *coin_b,
+                     int64_t t0, int64_t t1, double tiny, int64_t *window,
+                     double *dropped)
 {
     const double *const tsin[2] = {sin_a, sin_b}, *const tcos[2] = {cos_a, cos_b};
     const double *const one[2] = {coin_a, coin_b};
     int64_t lo = window[0], hi = window[1];
-    int swapped = 0;
     for (int64_t c = t0; c < t1;) {
-        if (c % 4 == 0) {
-            double *const bufs[4] = {up, down, next_up, next_down};
-            trim(bufs, rows, n, mirror, tiny, &lo, &hi, dropped);
-        }
-        const int64_t steps = c % 2 ? 1 : c % 4 == 0 && c + 4 <= t1 ? 4 : c + 2 <= t1 ? 2 : 1;
-        struct pair p = pair_at(c, n, origin, tsin, tcos, one);  /* read from even cones only */
-        p.lo = lo;
-        p.hi = hi;
-        if (steps == 4) {
-            struct pair p2 = pair_at(c + 2, n, origin, tsin, tcos, one);
-            p2.lo = lo;
-            p2.hi = hi + 2;
-            four_cones(up, down, rows, n, &p, &p2);
+        if (c % 4 == 0)
+            trim(up, down, rows, n, mirror, tiny, &lo, &hi, dropped);
+        if (c % 4 == 0 && c + 4 <= t1) {
+            const struct pair p1 = pair_at(c, lo, hi, n, origin, tsin, tcos, one);
+            const struct pair p2 = pair_at(c + 2, lo, hi + 2, n, origin, tsin, tcos, one);
+            four_cones(up, down, rows, n, &p1, &p2);
+            c += 4;
             hi += 4;
         } else {
-            const int64_t back = n - 1 - c;
-            for (int64_t r = 0; r < rows; r++) {
-                double *u = up + r * n, *d = down + r * n, *nu = next_up + r * n, *nd = next_down + r * n;
-                if (steps == 2)
-                    p.span(u, d, 0, nu, nd, 0, lo, hi + 1, &p);
-                else  /* cone c's table, whatever its coin case; the origin's slot on even cones */
-                    step(u, d, nu, nd, tsin[back & 1] + back / 2, tcos[back & 1] + back / 2, lo, hi,
-                         c % 2 ? -1 : p.q0);
-            }
-            double *swap = up; up = next_up; next_up = swap;
-            swap = down; down = next_down; next_down = swap;
-            swapped ^= 1;
-            hi += steps;  /* up moves one slot right per step; the cone gains one slot */
+            /* cone c's table, whatever its coin case; the origin's slot on even cones */
+            const int64_t back = n - 1 - c, q0 = origin && c % 2 == 0 ? c / 2 : -1;
+            const double *s = tsin[back & 1] + back / 2, *co = tcos[back & 1] + back / 2;
+            for (int64_t r = 0; r < rows; r++)
+                step(up + r * n, down + r * n, s, co, lo, hi, q0);
+            c++;
+            hi++;  /* up moves one slot right per step; the cone gains one slot */
         }
-        c += steps;
     }
     window[0] = lo;
     window[1] = hi;
-    return swapped;
 }
 """
 
@@ -415,7 +400,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (_P, _P, _P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P, _P, _P,
+_ARGTYPES = (_P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P, _P, _P,
              _I64, _I64, ctypes.c_double, _P, _P)
 
 
@@ -458,7 +443,7 @@ def _open(path: Path):
     library = ctypes.CDLL(str(path))
     fn = library.lightcone_steps
     fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int
+    fn.restype = None
     library.lightcone_isa.argtypes = ()
     library.lightcone_isa.restype = ctypes.c_char_p
     fn.isa = library.lightcone_isa().decode()

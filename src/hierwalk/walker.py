@@ -15,12 +15,12 @@ a length xi.
 
 The time loop runs in C (module ckernel), compiled with the system C
 compiler at the first light-cone walk and cached under
-${XDG_CACHE_HOME:-~/.cache}/hierwalk/. It steps two cones per pass, and
-from each rescan four cones in one pass that steps the window through a
-small ring of tiles and leaves the state in place, so a wide window
-crosses memory once per four steps. Where no library can be built or
-loaded, the same loop runs in numpy one cone at a time, bit for bit; it
-is only slower.
+${XDG_CACHE_HOME:-~/.cache}/hierwalk/. From each rescan it steps four
+cones in one pass through a small ring of tiles, so a wide window crosses
+memory once per four steps, and it takes single steps where fewer remain.
+Where no library can be built or loaded, the same loop runs in numpy one
+cone at a time, bit for bit; it is only slower. Every step of either loop
+leaves the state in place, so a walk holds one pair of buffers.
 light_cone_kernel() says which one a process runs, light_cone_isa() which
 clone of the C loop's span functions the CPU runs, and every sweep's
 manifest.json records both. A walk takes its trig tables' and buffers'
@@ -211,14 +211,13 @@ def _windows(trig_slice, psi: np.ndarray, times, mirror: bool, parts, origin: bo
     ckernel's loop and _numpy_steps agree bit for bit.
     """
     n = times[-1] + 1
-    # up, down, then the pair the next step writes into; that pair holds the
-    # state before last, zero outside its window like up and down.
-    bufs = [np.zeros((len(parts), n)) for _ in range(4)]
+    # the walk's state: every step leaves it in these two buffers
+    up, down = np.zeros((len(parts), n)), np.zeros((len(parts), n))
     for row, part in enumerate(parts):
-        bufs[0][row, 0], bufs[1][row, 0] = getattr(psi, part)
+        up[row, 0], down[row, 0] = getattr(psi, part)
     window = np.array([0, 1], dtype=np.int64)
     dropped = np.zeros(1)
-    walk = (trig_slice, bufs, window, dropped, mirror, origin, _TINY if tiny is None else tiny)
+    walk = (trig_slice, up, down, window, dropped, mirror, origin, _TINY if tiny is None else tiny)
     kernel = _load_kernel()
     steps = partial(_numpy_steps, *walk) if kernel is None else _compiled_steps(kernel, *walk)
     t = 0
@@ -226,7 +225,7 @@ def _windows(trig_slice, psi: np.ndarray, times, mirror: bool, parts, origin: bo
         due = int(due)
         steps(t, due)
         t = due
-        yield t, bufs[0], bufs[1], int(window[0]), int(window[1]), float(dropped[0])
+        yield t, up, down, int(window[0]), int(window[1]), float(dropped[0])
 
 
 def _iterate(field: CoinField, psi: np.ndarray, times):
@@ -256,13 +255,13 @@ def _window_sigma(t: int, up: np.ndarray, down: np.ndarray, lo: int, hi: int, mi
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def _numpy_steps(trig_slice, bufs: list, window: np.ndarray, dropped: np.ndarray, mirror: bool,
-                 origin: bool, tiny: float, t0: int, t1: int) -> None:
-    """Step the walks in bufs from time t0 to t1 in numpy, updating bufs, window and dropped in place."""
+def _numpy_steps(trig_slice, up: np.ndarray, down: np.ndarray, window: np.ndarray, dropped: np.ndarray,
+                 mirror: bool, origin: bool, tiny: float, t0: int, t1: int) -> None:
+    """Step the walks in up and down from time t0 to t1 in numpy, in place, updating window and dropped."""
     # one walk is stepped as 1-d views: numpy's calls on (1, w) arrays cost more
-    up, down, next_up, next_down = (b[0] if len(b) == 1 else b for b in bufs)
+    up, down = (b[0] if len(b) == 1 else b for b in (up, down))
     lo, hi = (int(v) for v in window)
-    tmp = np.empty_like(up)
+    su, cd, cu = np.empty((3, *up.shape))  # the products s u, co d and co u of a step; s d is formed in down
     for t in range(t0 + 1, t1 + 1):
         c = t - 1  # the cone before this step holds t sites
         if tiny and c % _RESCAN_PERIOD == 0:  # never empty: the state keeps its unit norm
@@ -277,60 +276,50 @@ def _numpy_steps(trig_slice, bufs: list, window: np.ndarray, dropped: np.ndarray
                                       for e in (np.s_[lo:new_lo], np.s_[new_hi:hi])], axis=-1)
                 sq = float(np.cumsum(cut * cut)[-1])
                 dropped[0] += math.sqrt(2.0 * sq if mirror else sq)
-            for buf in (up, down, next_up, next_down):
+            for buf in (up, down):
                 buf[..., lo:new_lo] = 0.0
                 buf[..., new_hi:hi] = 0.0
             lo, hi = new_lo, new_hi
-        # (cu, cd) = [[s, co], [co, -s]] (u, d) site by site, into the next buffers
+        # (up, down) = [[s, co], [co, -s]] (u, d) site by site, up shifted one slot right
         s, co = (a[lo:hi] for a in trig_slice(c))
-        u, d, tw = up[..., lo:hi], down[..., lo:hi], tmp[..., lo:hi]
-        cu, cd = next_up[..., lo + 1:hi + 1], next_down[..., lo:hi]
-        np.multiply(s, u, out=cu)
-        np.multiply(co, d, out=tw)
-        np.add(cu, tw, out=cu)
-        np.multiply(co, u, out=cd)
-        np.multiply(s, d, out=tw)
-        np.subtract(cd, tw, out=cd)
+        w = np.s_[..., lo:hi]
+        u, d = up[w], down[w]
         q0 = c // 2  # the origin's slot on even cones; with origin, its coin is the identity
-        if origin and c % 2 == 0 and lo <= q0 < hi:
-            next_up[..., q0 + 1] = up[..., q0]
-            next_down[..., q0] = down[..., q0]
-        next_up[..., lo] = 0.0  # next_down[..., hi] is +0.0, beyond the older state's window
-        up, down, next_up, next_down = next_up, next_down, up, down
+        identity = origin and c % 2 == 0 and lo <= q0 < hi
+        if identity:
+            start = up[..., q0].copy(), down[..., q0].copy()
+        np.multiply(s, u, out=su[w])
+        np.multiply(co, d, out=cd[w])
+        np.multiply(co, u, out=cu[w])
+        np.multiply(s, d, out=d)
+        np.subtract(cu[w], d, out=d)
+        np.add(su[w], cd[w], out=up[..., lo + 1:hi + 1])
+        if identity:
+            up[..., q0 + 1], down[..., q0] = start
+        up[..., lo] = 0.0  # down[..., hi] is +0.0, beyond the window
         hi += 1  # up moved one slot right; the cone gained one slot
-    if (t1 - t0) % 2:
-        _swap(bufs)
     window[:] = lo, hi
 
 
-def _swap(bufs: list) -> None:
-    """The state has moved to the other buffer pair."""
-    bufs[:] = bufs[2], bufs[3], bufs[0], bufs[1]
-
-
-def _compiled_steps(kernel, trig_slice, bufs: list, window: np.ndarray, dropped: np.ndarray,
-                    mirror: bool, origin: bool, tiny: float):
+def _compiled_steps(kernel, trig_slice, up: np.ndarray, down: np.ndarray, window: np.ndarray,
+                    dropped: np.ndarray, mirror: bool, origin: bool, tiny: float):
     """The stepper of one walk through ckernel's lightcone_steps: steps(t0, t1) acts as _numpy_steps.
 
-    The tables' and buffers' addresses are taken once per walk. The C loop
-    steps one or two cones per buffer swap, or four in place, so it says
-    which buffer pair holds the state; the addresses rotate with the buffers.
+    The tables' and buffers' addresses are taken once per walk: the C loop
+    steps the state in place.
     """
-    rows, n = bufs[0].shape
+    rows, n = up.shape
     # sin and cos of the cones of either parity, and the one coin of each, if it has one
     tables = [np.ascontiguousarray(a, dtype=float)
               for a in (*trig_slice(n - 1), *trig_slice(n - 2))]
     # only evolve_absorbing's walks lack the origin; their sinks, s = +1 and -1, never make one coin
     coins = [_one_coin(*tables[i:i + 2], cone) if origin else None for i, cone in ((0, n - 1), (2, n - 2))]
-    addresses = [b.ctypes.data for b in bufs]
-    fixed = (rows, n, mirror, origin, *(a.ctypes.data for a in tables),
+    fixed = (up.ctypes.data, down.ctypes.data, rows, n, mirror, origin, *(a.ctypes.data for a in tables),
              *(None if k is None else k.ctypes.data for k in coins))
     out = (tiny, window.ctypes.data, dropped.ctypes.data)
 
     def steps(t0: int, t1: int) -> None:
-        if kernel(*addresses, *fixed, t0, t1, *out):
-            _swap(bufs)
-            _swap(addresses)
+        kernel(*fixed, t0, t1, *out)
 
     steps.tables = tables, coins  # the kernel reads them by address: keep them alive with the stepper
     return steps
@@ -375,9 +364,12 @@ def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts,
 
 
 def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
-    ts = np.asarray(sample_times, dtype=np.int64)
+    ts = np.asarray(sample_times)
     if ts.size == 0:
         raise ValueError("sample_times must not be empty")
+    if ts.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1
+        raise ValueError(f"sample_times must be integers, got {sample_times!r}")
+    ts = ts.astype(np.int64)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if ts[0] < 1 or ts[-1] > t_max:

@@ -342,8 +342,8 @@ def test_trim_leaves_exact_zeros_beyond_the_window():
     cone edges from t ~ 200 on. The window is rescanned at every cone 0 mod 4
     and grows by one slot per step, so the nonzero slots beyond the outermost
     amplitudes >= tau number at most 2 on each side; the rescan period of 32
-    used before two cones per pass fails here. Odd and even t read different
-    buffers.
+    used before two cones per pass fails here. t = 4095 ends on three single
+    steps, t = 4096 on a four-cone pass.
     """
     field = hadamard_field(4096)
     for t in (4095, 4096):
@@ -380,11 +380,11 @@ def both_loops(test):
 def test_compiled_loop_gives_the_numpy_loops_bytes(field, psi_ic, monkeypatch):
     if walker.light_cone_kernel() != "compiled":
         pytest.skip("the compiled light-cone loop cannot be built here")
-    # the compiled loop steps four cones per pass from cones 0 mod 4, two from other
-    # even cones, one otherwise: single steps (0 -> 1, 1 -> 2, 2 -> 3, 3 -> 5, 5 -> 6),
-    # a lone pair (0 -> 2, where the window's edges are the origin's slots), a step at
-    # odd cone 33 then a pair and passes (33 -> 1024), a pair, passes, a pair and a step
-    # at an even cone (6 -> 31), passes then a pair and a step (1024 -> 4095)
+    # the compiled loop steps four cones per pass from cones 0 mod 4 with four to go, and
+    # single steps otherwise: single steps only up to 6 (0 -> 2 from the origin's slot),
+    # steps at cones 6 and 7, passes, steps at 28 to 30 (6 -> 31), a step at cone 32 with
+    # one to go (32 -> 33), steps at 33 to 35 then passes (33 -> 1024), passes then steps
+    # at 4092 to 4094 (1024 -> 4095)
     grid = (1, 2, 3, 5, 6, 31, 32, 33, 1024, 4095, 4096)
     psi = walker._as_spinor(psi_ic)
     for times in (grid, grid[1:]):
@@ -629,6 +629,27 @@ def test_the_state_does_not_depend_on_the_sample_grid(field, psi_ic, request, mo
     assert len(set(states)) == 1
 
 
+@pytest.mark.parametrize("psi_ic", [DEFAULT_IC, MIXED_IC], ids=["mirror", "two_rows"])
+def test_the_state_stays_in_one_buffer_pair(psi_ic, request, monkeypatch):
+    """Every step leaves the state where it was: _windows yields the same two arrays at every time.
+
+    The grid stops at odd times and at cones 2 mod 4, after single steps,
+    in the numpy loop, the compiled loop and the compiled loop with tiles
+    of 7 slots.
+    """
+    field = CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 4096)
+    times = (1, 2, 3, 6, 7, 33, 1024, 4095)
+    kernels = [None]
+    if walker.light_cone_kernel() == "compiled":
+        kernels += [ckernel.load(), request.getfixturevalue("small_tiles")]
+    psi = walker._as_spinor(psi_ic)
+    mirror, parts = walker._real_walks(psi, field.mirror_symmetric)
+    for kernel in kernels:
+        monkeypatch.setattr(walker, "_load_kernel", lambda: kernel)
+        states = [(up, down) for _, up, down, *_ in walker._windows(field.trig_slice, psi, times, mirror, parts)]
+        assert all(up is states[0][0] and down is states[0][1] for up, down in states)
+
+
 def record_one_coins(monkeypatch) -> dict:
     """{cone parity: whether its table has one coin}, filled as the compiled loop's walks start."""
     seen = {}
@@ -727,6 +748,9 @@ def test_evolve_validates_sample_times():
         evolve(f, DEFAULT_IC, 16, [0, 4])
     with pytest.raises(ValueError):
         evolve(f, DEFAULT_IC, 16, [4, 32])
+    for times in ([1.9, 3.7, 16], np.array([2.0, 4.0])):  # never truncated to integers
+        with pytest.raises(ValueError, match="sample_times must be integers"):
+            evolve(f, DEFAULT_IC, 16, times)
 
 
 def test_sigma_one_at_t1_symmetric():
