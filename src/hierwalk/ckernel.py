@@ -1,15 +1,18 @@
-"""The light-cone walk's time loop in C, built with the system C compiler on first use.
+"""The light-cone walk's time loop and the RG recursion in C, built with the system C compiler on first use.
 
-`load()` returns the loop as a ctypes function, or None where it cannot be
-had: no compiler, a compile error, an unwritable cache or a library that will
-not load. Then `walker` steps the same loop in numpy. Nothing here runs at
-import. Both of walker's walks run on it: evolve_absorbing's passes
-origin = 0, its start site taking its table coin, and tiny = 0, no trim.
+`load()` returns the loop, lightcone_steps, as a ctypes function, its
+`recursion` the recursion's level loop, rg_absorbed; or None where the
+library cannot be had: no compiler, a compile error, an unwritable cache or
+a library that will not load. Then `walker` steps the same loop in numpy
+and `rgflow` runs the recursion's loop in Python. Nothing here runs at
+import. Both of walker's walks run on the time loop: evolve_absorbing's
+passes origin = 0, its start site taking its table coin, and tiny = 0, no
+trim.
 
 The library is cached as ${XDG_CACHE_HOME:-~/.cache}/hierwalk/lightcone-<hash>.so,
-the hash taken over the C source and the compiler flags. It is written to a
-temporary file and renamed into place, so processes that build it at once
-never load a half-written file.
+the hash taken over the C source, the compiler flags and the libraries. It
+is written to a temporary file and renamed into place, so processes that
+build it at once never load a half-written file.
 
 The C follows numpy's operation order in `walker._numpy_steps`: each product
 of the coin is rounded on its own before the sum (-ffp-contract=off forbids
@@ -79,6 +82,23 @@ the baseline control code, as no reassociation is allowed. AVX-512F
 encodes fused multiply-adds, so the products stay unfused only because
 -ffp-contract=off forbids contraction; CI checks that the library holds
 no fused multiply-add instruction.
+
+The recursion. rg_absorbed is rgflow.absorbed_amplitude's loop over the
+levels for one z, operation for operation, in CPython's complex arithmetic
+as Objects/complexobject.c has it in 3.10 to 3.13: _Py_c_prod's products,
+_Py_c_quot's division (Smith's algorithm, with its NaN branch), and
+_Py_c_abs's modulus: inf where a part is infinite, even beside a NaN, else
+NaN where a part is NaN, else hypot, whose overflow makes Python raise
+OverflowError, as rgflow then does. A float operand is (x, +0.0), as
+CPython promotes it, and every expression keeps Python's left-to-right
+order, (a g00) a. Every product is rounded on its own, as -ffp-contract=off
+keeps it. hypot comes from libm (-lm), the function Python's abs() of a
+complex calls. So every amplitude, every refusal and its condition keep
+the bits of rgflow's Python loop; the tests hold both to a step-by-step
+oracle byte for byte. CPython 3.14 multiplies a float by a complex without
+promoting it, so there the Python loop's signed zeros and infinities may
+differ. A call costs some 4.8 us where the Python loop took 11.7-12.1,
+most of it the ctypes call and its Python wrapper.
 """
 
 from __future__ import annotations
@@ -391,23 +411,152 @@ void lightcone_steps(double *up, double *down, int64_t rows, int64_t n, int32_t 
     window[0] = lo;
     window[1] = hi;
 }
+
+/* CPython's complex arithmetic, as Objects/complexobject.c has it in 3.10 to
+   3.13, so that the recursion below gives the bits of rgflow's Python loop.
+   A float operand is (x, +0.0), as CPython promotes it. */
+typedef struct { double real, imag; } pycomplex;
+
+static pycomplex c_sum(pycomplex a, pycomplex b)
+{
+    return (pycomplex){a.real + b.real, a.imag + b.imag};
+}
+
+static pycomplex c_diff(pycomplex a, pycomplex b)
+{
+    return (pycomplex){a.real - b.real, a.imag - b.imag};
+}
+
+static pycomplex c_neg(pycomplex a)
+{
+    return (pycomplex){-a.real, -a.imag};
+}
+
+/* _Py_c_prod */
+static pycomplex c_prod(pycomplex a, pycomplex b)
+{
+    return (pycomplex){a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real};
+}
+
+/* _Py_c_quot: Smith's algorithm, dividing through by the larger part of b;
+   NaN where b holds a NaN. b = 0, where Python raises ZeroDivisionError,
+   never comes here: the caller refuses it first. */
+static pycomplex c_quot(pycomplex a, pycomplex b)
+{
+    const double abs_breal = b.real < 0 ? -b.real : b.real;
+    const double abs_bimag = b.imag < 0 ? -b.imag : b.imag;
+    if (abs_breal >= abs_bimag) {
+        const double ratio = b.imag / b.real;
+        const double denom = b.real + b.imag * ratio;
+        return (pycomplex){(a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom};
+    }
+    if (abs_bimag >= abs_breal) {
+        const double ratio = b.real / b.imag;
+        const double denom = b.real * ratio + b.imag;
+        return (pycomplex){(a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom};
+    }
+    return (pycomplex){NAN, NAN};
+}
+
+/* _Py_c_abs: an infinite part gives inf, even beside a NaN; else a NaN part
+   gives NaN; else hypot. Sets *overflow where hypot overflows: there Python
+   raises OverflowError. */
+static double c_abs(pycomplex z, int *overflow)
+{
+    if (!isfinite(z.real) || !isfinite(z.imag)) {
+        if (isinf(z.real))
+            return fabs(z.real);
+        if (isinf(z.imag))
+            return fabs(z.imag);
+        return NAN;
+    }
+    const double r = hypot(z.real, z.imag);
+    if (!isfinite(r))
+        *overflow = 1;
+    return r;
+}
+
+/* What rg_absorbed returns: the amplitudes, or the refusal it met first. */
+enum { RG_OK, RG_SINGULAR_COIN, RG_SINGULAR_RESOLVENT, RG_CONDITION, RG_OVERFLOW };
+
+/* rgflow.absorbed_amplitude's loop over its levels 0 to l - 1, operation
+   for operation. levels holds per level the seven entries of rgflow's
+   table, m00, q01, q10, m11, m00 * m11, |m00| and |m11|, each as (real,
+   imag): RG_LEVEL doubles. It holds only the levels before level
+   singular, whose coin is singular; no level from there on is read. io
+   holds z, psi0 and psi1 as (real, imag), then cond_limit; the right
+   wall's up amplitude and the left wall's down amplitude are written over
+   io[0..3], or with RG_CONDITION the condition over io[0]. */
+#define RG_LEVEL 14
+int rg_absorbed(int32_t l, const double *levels, int32_t singular, double *io)
+{
+    const pycomplex psi0 = {io[2], io[3]}, psi1 = {io[4], io[5]}, one = {1.0, 0.0};
+    const double cond_limit = io[6];
+    pycomplex a = {io[0], io[1]}, b = a, m_ab = {0.0, 0.0}, m_ba = m_ab;
+    pycomplex g00, g01, g10, g11;
+    for (int32_t k = 0;; k++) {
+        if (k == singular)
+            return RG_SINGULAR_COIN;
+        const double *e = levels + RG_LEVEL * k;
+        const pycomplex m00 = {e[0], e[1]}, q01 = {e[2], e[3]}, q10 = {e[4], e[5]};
+        const pycomplex m11 = {e[6], e[7]}, m00_m11 = {e[8], e[9]};
+        const pycomplex m01 = c_diff(q01, m_ab), m10 = c_diff(q10, m_ba);
+        const pycomplex det_m = c_diff(m00_m11, c_prod(m01, m10));
+        if (det_m.real == 0.0 && det_m.imag == 0.0)
+            return RG_SINGULAR_RESOLVENT;
+        const pycomplex inv = c_quot(one, det_m);
+        g00 = c_prod(m11, inv);
+        g01 = c_prod(c_neg(m01), inv);
+        g10 = c_prod(c_neg(m10), inv);
+        g11 = c_prod(m00, inv);
+        int overflow = 0;
+        const double x = e[10] + c_abs(m10, &overflow), y = c_abs(m01, &overflow) + e[12];
+        const double p = c_abs(g00, &overflow) + c_abs(g10, &overflow);
+        const double q = c_abs(g01, &overflow) + c_abs(g11, &overflow);
+        if (overflow)
+            return RG_OVERFLOW;
+        const double cond = (y > x ? y : x) * (q > p ? q : p);
+        if (!isfinite(cond) || cond > cond_limit) {
+            io[0] = cond;
+            return RG_CONDITION;
+        }
+        if (k == l - 1)
+            break;
+        const pycomplex a1 = c_prod(c_prod(a, g00), a), b1 = c_prod(c_prod(b, g11), b);
+        m_ab = c_sum(m_ab, c_prod(c_prod(a, g01), b));
+        m_ba = c_sum(m_ba, c_prod(c_prod(b, g10), a));
+        a = a1;
+        b = b1;
+    }
+    const pycomplex right = c_sum(c_prod(c_prod(a, g00), psi0), c_prod(c_prod(a, g01), psi1));
+    const pycomplex left = c_sum(c_prod(c_prod(b, g10), psi0), c_prod(c_prod(b, g11), psi1));
+    io[0] = right.real;
+    io[1] = right.imag;
+    io[2] = left.real;
+    io[3] = left.imag;
+    return RG_OK;
+}
 """
 
 _CC = "cc"
 # Never -ffast-math (it flushes subnormals process-wide) nor -march=native.
-# -fno-math-errno inlines sqrt, so the library needs no libm.
+# -fno-math-errno inlines sqrt; hypot, for the recursion's moduli, comes from
+# libm, the one Python's abs() of a complex calls.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_LIBS = ("-lm",)  # after the source, so that the linker keeps it
 
 _P = ctypes.c_void_p
+_I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
-_ARGTYPES = (_P, _P, _I64, _I64, ctypes.c_int32, ctypes.c_int32, _P, _P, _P, _P, _P, _P,
+_ARGTYPES = (_P, _P, _I64, _I64, _I32, _I32, _P, _P, _P, _P, _P, _P,
              _I64, _I64, ctypes.c_double, _P, _P)
+_RG_ARGTYPES = (_I32, _P, _I32, _P)
 
 
 def library_path() -> Path:
     """Where the library for this source and these flags is cached."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    digest = hashlib.sha256("\0".join((_SOURCE, *_FLAGS)).encode()).hexdigest()[:16]
+    digest = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, *_LIBS)).encode()).hexdigest()[:16]
     return Path(cache) / "hierwalk" / f"lightcone-{digest}.so"
 
 
@@ -437,7 +586,11 @@ def _truncated_elf(path: Path) -> bool:
 
 
 def _open(path: Path):
-    """The library's lightcone_steps, its `isa` the clone of the span functions this CPU runs."""
+    """The library's lightcone_steps.
+
+    Its `isa` is the clone of the span functions this CPU runs, and its
+    `recursion` the library's rg_absorbed.
+    """
     if _truncated_elf(path):
         raise OSError(f"{path}: truncated library")
     library = ctypes.CDLL(str(path))
@@ -447,7 +600,15 @@ def _open(path: Path):
     library.lightcone_isa.argtypes = ()
     library.lightcone_isa.restype = ctypes.c_char_p
     fn.isa = library.lightcone_isa().decode()
+    fn.recursion = library.rg_absorbed
+    fn.recursion.argtypes = _RG_ARGTYPES
+    fn.recursion.restype = ctypes.c_int
     return fn
+
+
+def _command(output) -> list:
+    """The compiler command that builds the library from _SOURCE, on its stdin, into output."""
+    return [_CC, *_FLAGS, "-o", str(output), "-x", "c", "-", *_LIBS]
 
 
 def _build(path: Path) -> None:
@@ -455,7 +616,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run([_CC, *_FLAGS, "-o", tmp, "-x", "c", "-"], input=_SOURCE, text=True,
+        subprocess.run(_command(tmp), input=_SOURCE, text=True,
                        capture_output=True, check=True, timeout=120)
         os.replace(tmp, path)
     finally:

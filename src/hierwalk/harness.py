@@ -45,6 +45,7 @@ from .walker import (
     _TINY,
     DEFAULT_IC,
     _as_spinor,
+    _integer,
     _validated_sample_times,
     default_sample_times,
     evolve,
@@ -62,12 +63,6 @@ PRESETS = {
     "desk": {"t_max": 2 ** 13, "n_instances": 20},
     "paper": {"t_max": 2 ** 16, "n_instances": 50},
 }
-
-
-def _integer(name: str, value) -> int:
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _items(name: str, values, kind) -> tuple:

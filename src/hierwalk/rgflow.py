@@ -21,24 +21,30 @@ Resolvent poles sit on the unit circle in z; near-singular resolvents are
 flagged, never regularized.
 
 Only S^M depends on z, so each C_k^{-1} is computed once per field: a table
-of 7 floats per level (C_k^{-1}, the product and the moduli of its diagonal)
-built at the field's first call and kept on the field object, freed with it.
-A call then runs its l resolvents in one loop over that table. In traced
-runs of the rg_crosscheck benchmark (40 z per field) on a 2-core Intel Xeon,
-a call took 2.9-3.2 us per level, its fixed costs included, against 5.6-5.7
-us when every call rebuilt its level coins. Every amplitude, every
-PoleProximalError and its condition keep the bits of that plain recursion.
+of 7 numbers per level (C_k^{-1}, the product and the moduli of its
+diagonal) built at the field's first call and kept on the field object,
+freed with it. A call then runs its l resolvents in one loop over that
+table: in the compiled library (ckernel's rg_absorbed, in a port of
+CPython's complex arithmetic), one ctypes call per z, or in Python where
+the library cannot be had. On both, every amplitude, every
+PoleProximalError and its condition keep the bits of the plain
+step-by-step recursion. The 720 calls of an rg_crosscheck repetition (40 z
+per field, l = 4, 8 and 12) took 3.4-3.5 ms compiled, against 8.4-8.7 ms
+in the Python loop before it (medians of 40 repetitions, 2-core Intel
+Xeon): some 4.8 us a call, most of it the ctypes call, the checks and the
+two 2-vectors built here. The Python loop itself took 7.8-8.2 ms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 
 import numpy as np
 
 from .coins import CoinField
-from .walker import _as_spinor
+from .walker import _as_spinor, _integer, _load_kernel
 
 COND_LIMIT = 1e12
 
@@ -65,8 +71,27 @@ def _inverse_entries(c00, c01, c10, c11) -> tuple | None:
     return m00, -c01 * inv, -c10 * inv, m11, m00 * m11, abs(m00), abs(m11)
 
 
-def _level_inverses(field: CoinField) -> tuple:
-    """_inverse_entries of each level coin C_k = [[sin, cos], [cos, -sin]] of field, k = 0..n_levels-1.
+class _LevelTable:
+    """The level coins' _inverse_entries (None for a singular coin), in two forms.
+
+    `entries` is the tuple the Python loop reads. The compiled recursion
+    reads `packed` at `address`: the levels before the first singular coin,
+    one row each of their seven entries as complex128, a float as x + 0j,
+    as CPython promotes it. `singular` is that coin's level, or the level
+    count where there is none.
+    """
+
+    __slots__ = ("entries", "singular", "packed", "address")
+
+    def __init__(self, entries):
+        self.entries = tuple(entries)
+        self.singular = next((k for k, e in enumerate(self.entries) if e is None), len(self.entries))
+        self.packed = np.array(self.entries[:self.singular], dtype=complex).reshape(-1, 7)
+        self.address = self.packed.ctypes.data
+
+
+def _level_inverses(field: CoinField) -> _LevelTable:
+    """The _LevelTable of the level coins C_k = [[sin, cos], [cos, -sin]] of field, k = 0..n_levels-1.
 
     Built at the field's first call and kept as an attribute of the field
     object, so it lives and dies with it. It is never looked up by id() or
@@ -75,13 +100,40 @@ def _level_inverses(field: CoinField) -> tuple:
     """
     table = getattr(field, "_level_inverses", None)
     if table is None:
-        table = []
+        entries = []
         for k in range(field.n_levels):
             theta = field.level_angle(k)
             s, c = math.sin(theta), math.cos(theta)
-            table.append(_inverse_entries(s, c, c, -s))
-        table = field._level_inverses = tuple(table)
+            entries.append(_inverse_entries(s, c, c, -s))
+        table = field._level_inverses = _LevelTable(entries)
     return table
+
+
+def _load_recursion():
+    """The library's compiled recursion, rg_absorbed, or None where the library cannot be had."""
+    kernel = _load_kernel()
+    return None if kernel is None else kernel.recursion
+
+
+def _refusal(status: int, condition: float, cond_limit) -> Exception:
+    """What the Python loop raises where rg_absorbed returns status.
+
+    1: a singular coin, 2: a singular resolvent, 3: a condition above
+    cond_limit, or not finite, 4: a modulus too large for a float.
+    """
+    if status == 1:
+        return PoleProximalError("coin matrix is singular", math.inf)
+    if status == 2:
+        return PoleProximalError("resolvent is singular at this z", math.inf)
+    if status == 3:
+        return _condition_error(condition, cond_limit)
+    return OverflowError("absolute value too large")
+
+
+def _condition_error(cond: float, cond_limit) -> PoleProximalError:
+    return PoleProximalError(
+        f"resolvent condition {cond:.3e} exceeds {cond_limit:.1e}; pole-proximal z", cond
+    )
 
 
 def absorbed_amplitude(
@@ -100,9 +152,13 @@ def absorbed_amplitude(
 
     with S^A feeding the right wall (right-movers arrive there) and S^B the
     left. The result equals the generating function of the per-step arrival
-    amplitudes of the absorbing-wall walk on the same field. A non-finite z
-    is refused with ValueError.
+    amplitudes of the absorbing-wall walk on the same field. A non-integer
+    l and a non-finite z are refused with ValueError.
+
+    The loop runs in the compiled library (ckernel's rg_absorbed) where it
+    loads, else in Python below; both give the same bits.
     """
+    l = _integer("l", l)
     if l < 1:
         raise ValueError("l must be >= 1")
     if field.n_levels < l:
@@ -113,7 +169,15 @@ def absorbed_amplitude(
     a = b = complex(z)
     if not cmath.isfinite(a):  # a NaN or infinite z supports no claim about the resolvent
         raise ValueError(f"z must be finite, got {a}")
-    levels = _level_inverses(field)
+    table = _level_inverses(field)
+    recursion = _load_recursion()
+    if recursion is not None:
+        io = array("d", (a.real, a.imag, psi0.real, psi0.imag, psi1.real, psi1.imag, cond_limit))
+        status = recursion(l, table.address, table.singular, io.buffer_info()[0])
+        if status:
+            raise _refusal(status, io[0], cond_limit)
+        return np.array([complex(io[0], io[1]), 0j]), np.array([0j, complex(io[2], io[3])])
+    levels = table.entries
     m_ab = m_ba = 0j
     last = l - 1
     for k in range(l):
@@ -133,9 +197,7 @@ def absorbed_amplitude(
         p, q = abs(g00) + abs(g10), abs(g01) + abs(g11)
         cond = (y if y > x else x) * (q if q > p else p)
         if not math.isfinite(cond) or cond > cond_limit:
-            raise PoleProximalError(
-                f"resolvent condition {cond:.3e} exceeds {cond_limit:.1e}; pole-proximal z", cond
-            )
+            raise _condition_error(cond, cond_limit)
         if k == last:
             break
         a, b, m_ab, m_ba = a * g00 * a, b * g11 * b, m_ab + a * g01 * b, m_ba + b * g10 * a

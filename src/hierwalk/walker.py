@@ -67,7 +67,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -78,13 +79,23 @@ DEFAULT_IC = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
 DEFAULT_IC.setflags(write=False)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, refused by name unless it is an integer (not a bool)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_spinor(psi_ic) -> np.ndarray:
+    """psi_ic as a complex array, refused unless it is two finite entries of unit norm."""
     psi = np.asarray(psi_ic, dtype=complex)
     if psi.shape != (2,):
         raise ValueError("initial spinor must have exactly two components")
-    if not np.isfinite(psi).all():
-        raise ValueError(f"initial spinor must be finite, got {psi.tolist()}")
-    norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+    # checked as Python complex numbers: a quarter of the cost of numpy's calls on two entries
+    a, b = entries = psi.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"initial spinor must be finite, got {entries}")
+    norm = abs(a) ** 2 + abs(b) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial spinor must be normalized, got |psi|^2 = {norm}")
     return psi
@@ -139,6 +150,7 @@ def default_sample_times(t_max: int) -> tuple[int, ...]:
 
 
 def _check_horizon(field: CoinField, t_max: int, t_min: int) -> None:
+    _integer("t_max", t_max)
     if t_max < t_min:
         raise ValueError(f"t_max must be >= {t_min}")
     if t_max > field.half_width:
@@ -149,15 +161,19 @@ _RESCAN_PERIOD = 4  # the window is recomputed at cones 0 mod this; ckernel's lo
 _TINY = 1e-30  # tau: a rescan drops edge slots whose every amplitude is below it
 
 
-def _load_kernel():
-    """ckernel's compiled loop, or None where it cannot be built.
-
-    ckernel is imported here, at the first walk, so that `import hierwalk`
-    neither pays for its imports nor builds or loads anything.
-    """
+@cache
+def _ckernel():
+    """The module ckernel, imported at the first call, so that `import hierwalk` neither pays for
+    its imports nor builds or loads anything. Kept: a relative import costs 0.5 us a call, which
+    rgflow would pay per z."""
     from . import ckernel
 
-    return ckernel.load()
+    return ckernel
+
+
+def _load_kernel():
+    """ckernel's compiled library, its time loop, or None where it cannot be built."""
+    return _ckernel().load()
 
 
 def light_cone_kernel() -> str:
@@ -367,7 +383,9 @@ def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
     ts = np.asarray(sample_times)
     if ts.size == 0:
         raise ValueError("sample_times must not be empty")
-    if ts.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1
+    # a cast would truncate 1.9 to 1, and an integer array takes True as 1
+    if ts.dtype.kind not in "iu" or (not isinstance(sample_times, np.ndarray)
+                                     and any(isinstance(t, (bool, np.bool_)) for t in sample_times)):
         raise ValueError(f"sample_times must be integers, got {sample_times!r}")
     ts = ts.astype(np.int64)
     if np.any(np.diff(ts) <= 0):
@@ -451,6 +469,7 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
     the record is read, equal in value to stepping the box alone in complex
     numpy (signs of exact zeros aside). Cost: see the module docstring.
     """
+    l, t_max = _integer("l", l), _integer("t_max", t_max)
     if l < 1:
         raise ValueError("l must be >= 1")
     if t_max < 1:

@@ -100,3 +100,21 @@ def test_import_neither_builds_nor_loads_the_library(tmp_path):
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_library_and_the_first_recursion_loads_it(built):
+    # the library is in the cache, ready to load: import hierwalk must still leave it alone
+    code = """if True:
+        import sys, hierwalk
+        assert "hierwalk.ckernel" not in sys.modules
+        mapped = lambda: sys.platform != "linux" or "lightcone-" in open("/proc/self/maps").read()
+        assert sys.platform != "linux" or not mapped()
+        field = hierwalk.CoinField(0.8, hierwalk.DisorderSpec(), 8)
+        hierwalk.absorbed_amplitude(3, field, 0.3, hierwalk.DEFAULT_IC)
+        from hierwalk import ckernel, rgflow
+        assert ckernel.load.cache_info().currsize == 1 and mapped()
+        assert rgflow._load_recursion() is ckernel.load().recursion
+    """
+    src = str(Path(hierwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "XDG_CACHE_HOME": str(built.home), "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

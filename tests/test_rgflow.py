@@ -1,5 +1,6 @@
 import math
 import platform
+import struct
 import weakref
 
 import numpy as np
@@ -86,6 +87,17 @@ class UniformLevels:
         return self.theta
 
 
+@pytest.fixture(params=["compiled", "python"])
+def recursion(request, monkeypatch):
+    """absorbed_amplitude runs the library's compiled recursion, or its Python loop, as where the
+    library cannot be had."""
+    if request.param == "python":
+        monkeypatch.setattr(rgflow, "_load_recursion", lambda: None)
+    elif rgflow._load_recursion() is None:
+        pytest.skip("the compiled recursion cannot be built here")
+    return request.param
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -93,7 +105,7 @@ def _outcome(fn, *args):
         return err
 
 
-def test_matches_matrix_recursion_on_random_fields():
+def test_matches_matrix_recursion_on_random_fields(recursion):
     rng = np.random.default_rng(12345)
     poles = 0
     for _ in range(400):
@@ -132,7 +144,7 @@ def _bytes_or_pole(fn, *args):
     return tuple(v.tobytes() for v in out)
 
 
-def test_matches_step_by_step_recursion_byte_for_byte():
+def test_matches_step_by_step_recursion_byte_for_byte(recursion):
     # 800 fields x 5 z: each field's table is built at its first z and read at the others
     rng = np.random.default_rng(2022)
     spinors = (DEFAULT_IC, SYMMETRIC_IC, UP_IC, np.array([0.6, -0.8j]))
@@ -154,7 +166,7 @@ def test_matches_step_by_step_recursion_byte_for_byte():
     assert min(outcomes.values()) > 100  # both refused and computed z points
 
 
-def test_table_lives_and_dies_with_its_field():
+def test_table_lives_and_dies_with_its_field(recursion):
     # CPython hands a dropped field's address to the next field: a table found by id()
     # would give the next field the old coins, and one found by value would be shared
     rng = np.random.default_rng(99)
@@ -176,12 +188,17 @@ def test_table_lives_and_dies_with_its_field():
 
 
 def _coin_table(monkeypatch, coins):
-    """Make coins[k] the level-k coin of every field, through the recursion's per-field table."""
-    table = tuple(_inverse_entries(*np.asarray(c).ravel()) for c in coins)
+    """Make coins[k] the level-k coin of every field, through the recursion's per-field table.
+
+    Its entries are Python numbers, as the package's own tables hold: both
+    paths compute in CPython's arithmetic, while numpy scalars would divide
+    in numpy's.
+    """
+    table = rgflow._LevelTable(_inverse_entries(*np.asarray(c).ravel().tolist()) for c in coins)
     monkeypatch.setattr(rgflow, "_level_inverses", lambda field: table)
 
 
-def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
+def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch, recursion):
     # Every coin the package builds is symmetric (c01 == c10), which makes G symmetric and
     # hides a swap of g01 and g10. Rotations are real, invertible, and have c01 = -c10.
     rng = np.random.default_rng(31)
@@ -209,7 +226,7 @@ def test_matches_matrix_recursion_on_asymmetric_real_coins(monkeypatch):
     assert checked > 150
 
 
-def test_resolvent_matches_matrix_resolvent(monkeypatch):
+def test_resolvent_matches_matrix_resolvent(monkeypatch, recursion):
     # general complex coins: a level coin is real and symmetric, which keeps m_ab == m_ba.
     # At l = 2 the closing resolvent meets m_ab = z^2 g01 and m_ba = z^2 g10 of the first
     # coin's G, two unrelated complex numbers; the unit spinors read G's columns one at a time.
@@ -225,7 +242,7 @@ def test_resolvent_matches_matrix_resolvent(monkeypatch):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             # and byte for byte the step-by-step recursion on the same coins
             plain = rg_oracle.absorbed_amplitude(2, field, z, psi, math.inf,
-                                                 lambda field, k: tuple(coins[k].ravel()))
+                                                 lambda field, k: tuple(coins[k].ravel().tolist()))
             assert [v.tobytes() for v in got] == [v.tobytes() for v in plain]
 
 
@@ -269,7 +286,7 @@ def test_rg_step_z_zero_stays_zero():
         assert np.all(right == 0) and np.all(left == 0)
 
 
-def test_rg_step_flags_ill_conditioned_resolvent():
+def test_rg_step_flags_ill_conditioned_resolvent(recursion):
     # at l = 1, S^M = 0 and G = C: the condition is ||C^-1||_1 ||C||_1 = 2 for the Hadamard coin
     with pytest.raises(PoleProximalError) as err:
         absorbed_amplitude(1, CoinField(1.0, DisorderSpec(), 2), 0.3, SYMMETRIC_IC, cond_limit=1.0)
@@ -278,7 +295,7 @@ def test_rg_step_flags_ill_conditioned_resolvent():
         absorbed_amplitude(3, CoinField(1.0, DisorderSpec(), 8), 0.9, SYMMETRIC_IC, cond_limit=1.0)
 
 
-def test_rg_step_flags_singular_coin(monkeypatch):
+def test_rg_step_flags_singular_coin(monkeypatch, recursion):
     field = UniformLevels(THETA0, 2)  # its level angles go unused
     _coin_table(monkeypatch, [np.zeros((2, 2))])
     with pytest.raises(PoleProximalError, match="coin matrix is singular"):
@@ -289,6 +306,47 @@ def test_rg_step_flags_singular_coin(monkeypatch):
     with pytest.raises(PoleProximalError, match="resolvent is singular") as err:
         absorbed_amplitude(2, field, 1.0, SYMMETRIC_IC)
     assert err.value.condition == math.inf
+
+
+def _bytes_or_refusal(fn, *args):
+    """The wall vectors' bytes, or the refusal's type, message and the bits of its condition."""
+    try:
+        return tuple(v.tobytes() for v in fn(*args))
+    except ArithmeticError as err:
+        return type(err).__name__, str(err), struct.pack("<d", getattr(err, "condition", 0.0))
+
+
+def _check_coins_against_oracle(monkeypatch, coins, l, z, cond_limit=COND_LIMIT):
+    """absorbed_amplitude on these level coins, against the byte oracle: its outcome."""
+    _coin_table(monkeypatch, coins)
+    field = UniformLevels(THETA0, len(coins))  # its level angles go unused
+    got = _bytes_or_refusal(absorbed_amplitude, l, field, z, SYMMETRIC_IC, cond_limit)
+    want = _bytes_or_refusal(rg_oracle.absorbed_amplitude, l, field, z, SYMMETRIC_IC, cond_limit,
+                             lambda field, k: tuple(np.asarray(coins[k]).ravel().tolist()))
+    assert got == want
+    return got
+
+
+def test_singular_coin_is_met_after_the_levels_before_it(monkeypatch, recursion):
+    # the Hadamard coin's resolvent at level 0 has condition 2 (S^M = 0); level 1 is singular
+    coins = [HADAMARD.real, np.zeros((2, 2))]
+    assert len(_check_coins_against_oracle(monkeypatch, coins, 1, 0.3)) == 2  # level 1 unread
+    assert _check_coins_against_oracle(monkeypatch, coins, 2, 0.3)[1] == "coin matrix is singular"
+    refused = _check_coins_against_oracle(monkeypatch, coins, 2, 0.3, 1.0)
+    assert refused[1].startswith("resolvent condition 2.000e+00 exceeds 1.0e+00")
+
+
+@pytest.mark.parametrize("coin, refusal", [
+    ([[1.0, 0.0], [1e308, 1.0]], "PoleProximalError"),  # condition 1e308 * 1e308 = inf
+    ([[math.inf, 0.0], [0.0, 1.0]], "PoleProximalError"),  # inf * 0 in C^{-1}: condition nan
+    ([[math.nan, 1.0], [1.0, 0.0]], "PoleProximalError"),  # every modulus NaN: condition nan
+    ([[1e-154, 0.0], [0.0, 1e-154]], None),  # 1 / det(C^{-1} - S^M) is subnormal
+    # |q01| = 1.5e308 sqrt 2 overflows: Python's abs() raises, and so must the compiled recursion
+    ([[1.0, -1.5e308 * (1 + 1j)], [0.0, 1.0]], "OverflowError"),
+])
+def test_non_finite_arithmetic_keeps_the_oracles_bits(monkeypatch, recursion, coin, refusal):
+    outcome = _check_coins_against_oracle(monkeypatch, [np.array(coin)], 1, 0.3 + 0.2j, math.inf)
+    assert (outcome[0] if len(outcome) == 3 else None) == refusal
 
 
 def test_homogeneity_minimal_order_doubles():
@@ -403,6 +461,19 @@ def test_absorbed_amplitude_rejects_bad_l():
     field = CoinField(1.0, DisorderSpec(), 8)
     with pytest.raises(ValueError):
         absorbed_amplitude(0, field, 0.3, SYMMETRIC_IC)
+
+
+@pytest.mark.parametrize("l", [True, 2.5, 3.0, "3", None])
+def test_absorbed_amplitude_refuses_a_non_integer_l(l, recursion):
+    # checked before the compiled recursion, which takes l as an int32; True is not l = 1
+    with pytest.raises(ValueError, match="l must be an integer"):
+        absorbed_amplitude(l, CoinField(1.0, DisorderSpec(), 8), 0.3, SYMMETRIC_IC)
+
+
+def test_absorbed_amplitude_takes_a_numpy_integer_l(recursion):
+    field = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.5, seed=2), 8)
+    assert (_bytes_or_pole(absorbed_amplitude, np.int64(3), field, 0.3, SYMMETRIC_IC)
+            == _bytes_or_pole(absorbed_amplitude, 3, field, 0.3, SYMMETRIC_IC))
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf,

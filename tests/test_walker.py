@@ -423,8 +423,8 @@ def build_kernel(source: str, directory) -> object:
     """lightcone_steps of source, built with the library's flags into directory."""
     path = directory / "lightcone.so"
     try:
-        subprocess.run([ckernel._CC, *ckernel._FLAGS, "-o", str(path), "-x", "c", "-"], input=source,
-                       text=True, capture_output=True, check=True, timeout=120)
+        subprocess.run(ckernel._command(path), input=source, text=True, capture_output=True,
+                       check=True, timeout=120)
     except (OSError, subprocess.SubprocessError):
         pytest.skip("the compiled light-cone loop cannot be built here")
     return ckernel._open(path)
@@ -751,6 +751,20 @@ def test_evolve_validates_sample_times():
     for times in ([1.9, 3.7, 16], np.array([2.0, 4.0])):  # never truncated to integers
         with pytest.raises(ValueError, match="sample_times must be integers"):
             evolve(f, DEFAULT_IC, 16, times)
+    for times in ([True, 2, 16], (1, np.True_, 16), np.array([True, False])):  # True is not t = 1
+        with pytest.raises(ValueError, match="sample_times must be integers"):
+            evolve(f, DEFAULT_IC, 16, times)
+    assert list(evolve(f, DEFAULT_IC, 16, (1, np.int64(2), 16)).t) == [1, 2, 16]
+
+
+@pytest.mark.parametrize("t_max", [True, 16.0, 15.5, "16"])
+def test_walks_refuse_a_non_integer_t_max(t_max):
+    f = hadamard_field(16)
+    for walk in (evolve, evolve_state):
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            walk(f, DEFAULT_IC, t_max)
+    with pytest.raises(ValueError, match="t_max must be an integer"):
+        evolve_absorbing(f, 2, DEFAULT_IC, t_max)
 
 
 def test_sigma_one_at_t1_symmetric():
@@ -900,6 +914,9 @@ def test_absorbed_probability_monotone_and_bounded(l, eps, W, seed):
 
 def test_absorbing_rejects_bad_arguments():
     f = hadamard_field(16)
+    for l in (True, 3.5, 3.0):  # True is not l = 1, and 3.5 is refused before 1 << l
+        with pytest.raises(ValueError, match="l must be an integer"):
+            evolve_absorbing(f, l, DEFAULT_IC, 10)
     with pytest.raises(ValueError):
         evolve_absorbing(f, 0, DEFAULT_IC, 10)
     with pytest.raises(ValueError):
