@@ -16,7 +16,6 @@ from .coins import (
     DisorderSpec,
     draw_base_angles,
     field_from_config,
-    hierarchy_index,
 )
 from .observables import (
     FitResult,
@@ -55,7 +54,6 @@ __all__ = [
     "DisorderSpec",
     "draw_base_angles",
     "field_from_config",
-    "hierarchy_index",
     "FitResult",
     "SigmaSeries",
     "classify_estimate",

@@ -30,7 +30,11 @@ per update than normal numbers. The rescan cones are counted from the
 start, not from where a call starts, so the state at a time does not
 depend on which earlier times were sampled. Where numpy steps one cone at
 a time, the C steps the four cones from a rescan cone c in one pass,
-untrimmed at c + 2 (four_cones). The pass is made of pairs: the pair from
+untrimmed at c + 2 (four_cones), and steps nothing else: a call to the
+library starts at a rescan cone and runs whole passes. Every other cone,
+before a walk's first rescan cone or after its last pass, takes
+_numpy_steps' single step, on either path; on the default sample grid
+only cones 0 to 7 do. The pass is made of pairs: the pair from
 an even cone recomputes the odd cone's amplitude at a slot from two slots
 of the even cone, with the same products, and never stores it. It runs in
 tiles of 256 slots: the pair from cone c writes cone c + 2 into a ring of
@@ -39,10 +43,7 @@ behind and writes cone c + 4 over cone c in up and down. A window
 narrower than a tile is one partial tile. A wide window thus crosses the
 L2 cache once per four cones, reading and writing up and down: some 32
 bytes per slot and four cones, where two-cone passes between two buffer
-pairs moved 96. Every other cone takes a single step in place, right to
-left (step()): those a call steps before its first rescan cone, and those
-after its last pass, when fewer than four steps are left. On the default
-sample grid only cones 0 to 7 do.
+pairs moved 96.
 
 A pass streams only the coins that vary. Where every slot of a parity table
 but the start site's holds one coin, bit for bit, walker passes that
@@ -65,16 +66,17 @@ compiler with target_clones on x86 (GCC 6 on, clang 14 on) knows both
 feature names, so no compiler version is tested. The library's
 lightcone_isa() names the clone this CPU runs; `_open` keeps it as the
 loop's `isa`.
-The control code (the trim, the ring's bookkeeping and the single steps)
-is built once, for the baseline, and calls them through a pointer; the
-span body is inlined nowhere else, which keeps the build under a second
-(inlined at every call site of a cloned control loop, it took 6.3 s).
+The control code (the trim and the ring's bookkeeping) is built once,
+for the baseline, and calls them through a pointer; the span body is
+inlined nowhere else, which keeps the build under a second (inlined at
+every call site of a cloned control loop, it took 6.3 s).
 Elsewhere the default functions alone are built.
 The flags name no -march: the CPU is asked when the library loads.
 
 None of this moves a byte. Every amplitude of cones c + 1 to c + 4 is the
-same products of the same inputs as four single steps give, whichever
-buffer or ring tile holds them, and both loops trim at the same cones. A
+same products of the same inputs as four of numpy's single steps give,
+whichever buffer or ring tile holds them, and both loops trim at the same
+cones. A
 coin bit-equal to every table entry it stands for gives the same
 products, and every clone does the same IEEE operations per slot: each
 product rounded on its own, and the trim's sum of squares in order, in
@@ -206,26 +208,6 @@ static void trim(double *up, double *down, int64_t rows, int64_t n, int32_t mirr
     *hi = new_hi;
 }
 
-/* One step of one walk over the window [lo, hi), in place, with the origin's
-   identity coin at slot q0 (pass -1 on odd cones, or for no identity). It
-   runs right to left: slot q reads u[q] and d[q], then writes u[q + 1],
-   which slot q + 1 has read, and d[q]. d[hi] is not stored: it lies outside
-   the window, so it holds +0.0 already. */
-static void step(double *restrict u, double *restrict d, const double *s, const double *co,
-                 int64_t lo, int64_t hi, int64_t q0)
-{
-    for (int64_t q = hi - 1; q >= lo; q--) {
-        const double uq = u[q], dq = d[q];
-        if (q == q0) {  /* the identity: d[q] stays */
-            u[q + 1] = uq;
-            continue;
-        }
-        u[q + 1] = s[q] * uq + co[q] * dq;
-        d[q] = co[q] * uq - s[q] * dq;
-    }
-    u[lo] = 0.0;
-}
-
 /* The two steps from an even cone c, a pair: the coins of cone c (s0, c0)
    and of cone c + 1 (s1, c1), each a table or, in its coin case, one
    (sin, cos) at index 0; cone c's window [lo, hi), its origin slot q0 (-1
@@ -251,9 +233,9 @@ INLINE double coin(const double *a, int64_t p, int one)
 /* The pair from cone c over the pair slots [a, b), within [lo, hi + 1):
    slot p writes cone c + 2's up at slot p + 1 and down at slot p, from
    cone c's slots p - 1 and p. The state of cone c + 1 at slot p is
-   recomputed from those with step()'s products, and never stored. Slot i of
-   cone c is u[i - io], d[i - io]; slot i of cone c + 2 is nu[i - oo],
-   nd[i - oo]. A span that starts at lo stores +0.0 up there. The slots
+   recomputed from those with the products of a single step, and never
+   stored. Slot i of cone c is u[i - io], d[i - io]; slot i of cone c + 2
+   is nu[i - oo], nd[i - oo]. A span that starts at lo stores +0.0 up there. The slots
    that are not the coins' are peeled: +0.0 up at lo, +0.0 down at hi, and
    the identity coin, down at q0 and up at q0 + 1. With one0 (one1) set,
    cone c (c + 1) has one coin, and one0 only with one1; the callers pass
@@ -364,21 +346,22 @@ static struct pair pair_at(int64_t c, int64_t lo, int64_t hi, int64_t n, int32_t
     return w;
 }
 
-/* Step rows (1 or 2) real walks in up and down from time t0 to t1 >= t0,
-   in place. Each buffer holds the rows one after the other, n slots each;
-   slot q of cone c is site x = -c + 2q. window = [lo, hi) is the slot
-   range outside which every amplitude of up and down is zero; it is read
-   and written back, and so is *dropped, to which each trim adds the 2-norm
-   of the psi it drops. The window is trimmed at every cone c = 0 mod 4,
-   whatever t0, so the state at t1 does not depend on where earlier calls
-   stopped. From such a cone with four steps to go, the four run as one
-   pass (four_cones); every other cone takes a single step. The sin and cos
-   of cone c start at offset (n - 1 - c) / 2 of the tables for cone n - 1
-   (cone parity equal to that of n - 1) or cone n - 2 (the other).
-   The start site, slot c / 2 of even cones, has the identity coin if
-   origin is set. coin_a (coin_b) is NULL, or the (sin, cos) held by every
-   slot of table a (b) but the start site's: then passes may read it in
-   place of the table. */
+/* Step rows (1 or 2) real walks in up and down from time t0 to t1 in
+   whole four-cone passes, in place: t0 must be 0 mod 4 and t1 - t0 a
+   multiple of 4. A pass never starts with fewer than four steps to go, so
+   no call writes a cone beyond t1; walker steps every other cone in numpy.
+   Each buffer holds the rows one after the other, n slots each; slot q of
+   cone c is site x = -c + 2q. window = [lo, hi) is the slot range outside
+   which every amplitude of up and down is zero; it is read and written
+   back, and so is *dropped, to which each trim adds the 2-norm of the psi
+   it drops. Each pass trims the window at its first cone c = 0 mod 4, then
+   steps the four cones (four_cones), so the state at t1 does not depend on
+   where earlier calls stopped. The sin and cos of cone c start at offset
+   (n - 1 - c) / 2 of the tables for cone n - 1 (cone parity equal to that
+   of n - 1) or cone n - 2 (the other). The start site, slot c / 2 of even
+   cones, has the identity coin if origin is set. coin_a (coin_b) is NULL,
+   or the (sin, cos) held by every slot of table a (b) but the start
+   site's: then passes may read it in place of the table. */
 void lightcone_steps(double *up, double *down, int64_t rows, int64_t n, int32_t mirror, int32_t origin,
                      const double *sin_a, const double *cos_a,
                      const double *sin_b, const double *cos_b,
@@ -389,24 +372,12 @@ void lightcone_steps(double *up, double *down, int64_t rows, int64_t n, int32_t 
     const double *const tsin[2] = {sin_a, sin_b}, *const tcos[2] = {cos_a, cos_b};
     const double *const one[2] = {coin_a, coin_b};
     int64_t lo = window[0], hi = window[1];
-    for (int64_t c = t0; c < t1;) {
-        if (c % 4 == 0)
-            trim(up, down, rows, n, mirror, tiny, &lo, &hi, dropped);
-        if (c % 4 == 0 && c + 4 <= t1) {
-            const struct pair p1 = pair_at(c, lo, hi, n, origin, tsin, tcos, one);
-            const struct pair p2 = pair_at(c + 2, lo, hi + 2, n, origin, tsin, tcos, one);
-            four_cones(up, down, rows, n, &p1, &p2);
-            c += 4;
-            hi += 4;
-        } else {
-            /* cone c's table, whatever its coin case; the origin's slot on even cones */
-            const int64_t back = n - 1 - c, q0 = origin && c % 2 == 0 ? c / 2 : -1;
-            const double *s = tsin[back & 1] + back / 2, *co = tcos[back & 1] + back / 2;
-            for (int64_t r = 0; r < rows; r++)
-                step(up + r * n, down + r * n, s, co, lo, hi, q0);
-            c++;
-            hi++;  /* up moves one slot right per step; the cone gains one slot */
-        }
+    for (int64_t c = t0; c + 4 <= t1; c += 4) {
+        trim(up, down, rows, n, mirror, tiny, &lo, &hi, dropped);
+        const struct pair p1 = pair_at(c, lo, hi, n, origin, tsin, tcos, one);
+        const struct pair p2 = pair_at(c + 2, lo, hi + 2, n, origin, tsin, tcos, one);
+        four_cones(up, down, rows, n, &p1, &p2);
+        hi += 4;  /* up moves one slot right per step; the cone gains one slot */
     }
     window[0] = lo;
     window[1] = hi;

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,8 +39,17 @@ _MASK64 = (1 << 64) - 1
 CONFIG_KEYS = frozenset({"epsilon", "disorder_model", "W", "seed", "half_width"})
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, refused by name unless it is an integer (not a bool)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_epsilon(epsilon: float) -> float:
-    """epsilon as a float, refused outside the barrier range (0, 1]."""
+    """epsilon as a float, refused if it is a bool or outside the barrier range (0, 1]."""
+    if isinstance(epsilon, (bool, np.bool_)):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     return float(epsilon)
@@ -50,27 +60,6 @@ def require_power_of_two(name: str, value: int) -> int:
     if value < 1 or value & (value - 1):
         raise ValueError(f"{name} must be a positive power of two, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class HierarchyIndex:
-    """The unique (i, j) with x = 2^i (2j+1) for a nonzero integer site x."""
-
-    i: int
-    j: int
-
-    @property
-    def site(self) -> int:
-        return (2 * self.j + 1) << self.i
-
-
-def hierarchy_index(x: int) -> HierarchyIndex:
-    """Decompose a nonzero site into its hierarchy level i and offset j."""
-    if x == 0:
-        raise ValueError("x = 0 has no hierarchy level; the origin carries the identity coin")
-    i = (x & -x).bit_length() - 1  # trailing zeros of |x|
-    j = ((x >> i) - 1) >> 1
-    return HierarchyIndex(i=i, j=j)
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class DisorderSpec:
             raise ValueError(f"unknown disorder model {self.model!r}; choose from {DISORDER_MODELS}")
         if not 0.0 <= self.W <= math.pi:
             raise ValueError(f"W must lie in [0, pi], got {self.W}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= _integer("seed", self.seed) <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -120,10 +109,10 @@ class CoinField:
 
     def __init__(self, epsilon: float, disorder: DisorderSpec, half_width: int):
         self.epsilon = require_epsilon(epsilon)
-        if half_width < 1:
+        self.half_width = _integer("half_width", half_width)
+        if self.half_width < 1:
             raise ValueError(f"half_width must be >= 1, got {half_width}")
         self.disorder = disorder
-        self.half_width = int(half_width)
         self.n_levels = self.half_width.bit_length()  # floor(log2 L) + 1
         eps_pow = np.ones(self.n_levels)
         if self.n_levels > 1:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coins import _MASK64, CoinField, DisorderSpec, require_epsilon, require_power_of_two
+from .coins import _MASK64, CoinField, DisorderSpec, _integer, require_epsilon, require_power_of_two
 from .observables import (
     DEFAULT_THRESHOLD,
     SigmaSeries,
@@ -45,7 +45,6 @@ from .walker import (
     _TINY,
     DEFAULT_IC,
     _as_spinor,
-    _integer,
     _validated_sample_times,
     default_sample_times,
     evolve,

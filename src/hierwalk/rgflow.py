@@ -43,8 +43,8 @@ from array import array
 
 import numpy as np
 
-from .coins import CoinField
-from .walker import _as_spinor, _integer, _load_kernel
+from .coins import CoinField, _integer
+from .walker import _as_spinor, _load_kernel
 
 COND_LIMIT = 1e12
 

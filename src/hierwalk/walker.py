@@ -17,10 +17,13 @@ The time loop runs in C (module ckernel), compiled with the system C
 compiler at the first light-cone walk and cached under
 ${XDG_CACHE_HOME:-~/.cache}/hierwalk/. From each rescan it steps four
 cones in one pass through a small ring of tiles, so a wide window crosses
-memory once per four steps, and it takes single steps where fewer remain.
-Where no library can be built or loaded, the same loop runs in numpy one
-cone at a time, bit for bit; it is only slower. Every step of either loop
-leaves the state in place, so a walk holds one pair of buffers.
+memory once per four steps; it runs only such whole passes. Every other
+cone, before the first rescan cone a call reaches or after its last
+whole pass, takes the numpy loop's single step (_numpy_steps): on the
+default sample grid cones 0 to 7. Where no library can be built or
+loaded, _numpy_steps steps every cone, bit for bit; it is only slower.
+Every step of either loop leaves the state in place, so a walk holds one
+pair of buffers.
 light_cone_kernel() says which one a process runs, light_cone_isa() which
 clone of the C loop's span functions the CPU runs, and every sweep's
 manifest.json records both. A walk takes its trig tables' and buffers'
@@ -68,22 +71,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from numbers import Integral
 
 import numpy as np
 
-from .coins import CoinField
+from .coins import CoinField, _integer
 from .observables import SigmaSeries
 
 DEFAULT_IC = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
 DEFAULT_IC.setflags(write=False)
-
-
-def _integer(name: str, value) -> int:
-    """value as an int, refused by name unless it is an integer (not a bool)."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_spinor(psi_ic) -> np.ndarray:
@@ -157,7 +152,7 @@ def _check_horizon(field: CoinField, t_max: int, t_min: int) -> None:
         raise ValueError(f"t_max {t_max} exceeds the lattice half_width {field.half_width}")
 
 
-_RESCAN_PERIOD = 4  # the window is recomputed at cones 0 mod this; ckernel's loop hard-codes it
+_RESCAN_PERIOD = 4  # the window is recomputed at cones 0 mod this; ckernel's passes are this many cones
 _TINY = 1e-30  # tau: a rescan drops edge slots whose every amplitude is below it
 
 
@@ -321,8 +316,12 @@ def _compiled_steps(kernel, trig_slice, up: np.ndarray, down: np.ndarray, window
                     dropped: np.ndarray, mirror: bool, origin: bool, tiny: float):
     """The stepper of one walk through ckernel's lightcone_steps: steps(t0, t1) acts as _numpy_steps.
 
-    The tables' and buffers' addresses are taken once per walk: the C loop
-    steps the state in place.
+    The library runs only whole four-cone passes from rescan cones, so
+    steps splits [t0, t1) in three: _numpy_steps up to the first cone 0 mod
+    _RESCAN_PERIOD, the library over the whole passes from there, and
+    _numpy_steps over the cones left. All three step the same buffers,
+    window and B in place. The tables' and buffers' addresses are taken
+    once per walk.
     """
     rows, n = up.shape
     # sin and cos of the cones of either parity, and the one coin of each, if it has one
@@ -333,9 +332,17 @@ def _compiled_steps(kernel, trig_slice, up: np.ndarray, down: np.ndarray, window
     fixed = (up.ctypes.data, down.ctypes.data, rows, n, mirror, origin, *(a.ctypes.data for a in tables),
              *(None if k is None else k.ctypes.data for k in coins))
     out = (tiny, window.ctypes.data, dropped.ctypes.data)
+    single = partial(_numpy_steps, trig_slice, up, down, window, dropped, mirror, origin, tiny)
 
     def steps(t0: int, t1: int) -> None:
-        kernel(*fixed, t0, t1, *out)
+        a = min(t0 + -t0 % _RESCAN_PERIOD, t1)  # the first rescan cone from t0, or t1
+        b = t1 - (t1 - a) % _RESCAN_PERIOD  # the end of the last whole pass
+        if t0 < a:
+            single(t0, a)
+        if a < b:
+            kernel(*fixed, a, b, *out)
+        if b < t1:
+            single(b, t1)
 
     steps.tables = tables, coins  # the kernel reads them by address: keep them alive with the stepper
     return steps

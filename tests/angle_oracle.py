@@ -2,13 +2,37 @@
 
 theta(x) = base(x) * epsilon^i(x), with epsilon^i tabulated by cumulative
 multiplication as CoinField does, the base angles redrawn with
-draw_base_angles, and the level i taken from the scalar hierarchy_index.
-The origin's angle is 0; the walks give it the identity coin instead.
+draw_base_angles, and the level i taken from the scalar hierarchy_index,
+one site at a time. The origin's angle is 0; the walks give it the
+identity coin instead.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from hierwalk import draw_base_angles, hierarchy_index
+from hierwalk import draw_base_angles
+
+
+@dataclass(frozen=True)
+class HierarchyIndex:
+    """The unique (i, j) with x = 2^i (2j+1) for a nonzero integer site x."""
+
+    i: int
+    j: int
+
+    @property
+    def site(self) -> int:
+        return (2 * self.j + 1) << self.i
+
+
+def hierarchy_index(x: int) -> HierarchyIndex:
+    """Decompose a nonzero site into its hierarchy level i and offset j."""
+    if x == 0:
+        raise ValueError("x = 0 has no hierarchy level; the origin carries the identity coin")
+    i = (x & -x).bit_length() - 1  # trailing zeros of |x|
+    j = ((x >> i) - 1) >> 1
+    return HierarchyIndex(i=i, j=j)
 
 
 def site_angles(field, sites) -> np.ndarray:

@@ -19,10 +19,11 @@ from hierwalk import (
     evolve_absorbing,
     evolve_state,
     fit_inv_dw,
-    hierarchy_index,
     predicted_inv_dw,
     run_sweep,
 )
+
+from angle_oracle import hierarchy_index
 
 BASE_SEED = 20240
 

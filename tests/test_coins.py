@@ -12,10 +12,9 @@ from hierwalk import (
     draw_base_angles,
     evolve_state,
     field_from_config,
-    hierarchy_index,
 )
 
-from angle_oracle import site_angles
+from angle_oracle import hierarchy_index, site_angles
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -202,6 +201,31 @@ def test_epsilon_validation():
         CoinField(0.0, DisorderSpec(), 16)
     with pytest.raises(ValueError):
         CoinField(1.2, DisorderSpec(), 16)
+    for epsilon in (True, np.True_):  # not epsilon = 1.0
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            CoinField(epsilon, DisorderSpec(), 16)
+
+
+@pytest.mark.parametrize("half_width", [2.5, 9.9, 16.0, "16", True, np.True_])
+def test_half_width_must_be_an_integer(half_width):
+    """Never truncated to an integer, and True is not half_width = 1."""
+    with pytest.raises(ValueError, match="half_width must be an integer"):
+        CoinField(0.5, DisorderSpec(), half_width)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, np.True_])
+def test_seed_must_be_an_integer(seed):
+    """Refused when the spec is made, not at the draw, and True is not seed = 1."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        DisorderSpec("hierarchical", 1.0, seed)
+
+
+def test_numpy_integers_are_taken_as_half_width_and_seed():
+    spec = DisorderSpec("hierarchical", 1.0, np.uint64(2 ** 64 - 1))
+    f = CoinField(0.5, spec, np.int64(16))
+    assert f.half_width == 16 and type(f.half_width) is int
+    g = CoinField(0.5, DisorderSpec("hierarchical", 1.0, 2 ** 64 - 1), 16)
+    assert f.trig_slice(16)[0].tobytes() == g.trig_slice(16)[0].tobytes()
 
 
 def test_extensive_site_draws_differ_within_level():

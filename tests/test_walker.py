@@ -380,8 +380,8 @@ def both_loops(test):
 def test_compiled_loop_gives_the_numpy_loops_bytes(field, psi_ic, monkeypatch):
     if walker.light_cone_kernel() != "compiled":
         pytest.skip("the compiled light-cone loop cannot be built here")
-    # the compiled loop steps four cones per pass from cones 0 mod 4 with four to go, and
-    # single steps otherwise: single steps only up to 6 (0 -> 2 from the origin's slot),
+    # the compiled path runs the library's four-cone passes from cones 0 mod 4 with four to
+    # go, and numpy's single steps otherwise: single steps only up to 6 (0 -> 2 from the origin's slot),
     # steps at cones 6 and 7, passes, steps at 28 to 30 (6 -> 31), a step at cone 32 with
     # one to go (32 -> 33), steps at 33 to 35 then passes (33 -> 1024), passes then steps
     # at 4092 to 4094 (1024 -> 4095)
@@ -648,6 +648,37 @@ def test_the_state_stays_in_one_buffer_pair(psi_ic, request, monkeypatch):
         monkeypatch.setattr(walker, "_load_kernel", lambda: kernel)
         states = [(up, down) for _, up, down, *_ in walker._windows(field.trig_slice, psi, times, mirror, parts)]
         assert all(up is states[0][0] and down is states[0][1] for up, down in states)
+
+
+def test_the_library_runs_only_whole_passes(monkeypatch):
+    """Every call to the library starts at a cone 0 mod 4 and steps a positive multiple of four cones.
+
+    The numpy loop steps every other cone. The grids stop at odd times and
+    before and after whole passes: MIRROR_TIMES, the default grid, and
+    evolve_absorbing's single time 3 2^l + 7, both untrimmed.
+    """
+    library = ckernel.load()
+    if library is None:
+        pytest.skip("the compiled light-cone loop cannot be built here")
+    calls = []
+
+    def recording(*args):
+        calls.append(args[12:14])  # lightcone_steps' t0 and t1
+        library(*args)
+
+    monkeypatch.setattr(walker, "_load_kernel", lambda: recording)
+    field = CoinField(0.6, DisorderSpec(model="hierarchical", W=1.0, seed=5), 2048)
+    psi = walker._as_spinor(DEFAULT_IC)
+    walks = [lambda: list(walker._iterate(field, psi, MIRROR_TIMES)),
+             lambda: evolve(field, MIXED_IC, 2048),
+             lambda: evolve_absorbing(field, 3, DEFAULT_IC, 3 * 2 ** 3 + 7),
+             lambda: evolve_absorbing(field, 8, MIXED_IC, 3 * 2 ** 8 + 7)]
+    for walk in walks:
+        calls.clear()
+        walk()
+        assert calls
+        for t0, t1 in calls:
+            assert t0 % 4 == 0 and t1 > t0 and (t1 - t0) % 4 == 0, (t0, t1)
 
 
 def record_one_coins(monkeypatch) -> dict:
