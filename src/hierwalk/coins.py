@@ -41,6 +41,8 @@ CONFIG_KEYS = frozenset({"epsilon", "disorder_model", "W", "seed", "half_width"}
 
 def _integer(name: str, value) -> int:
     """value as an int, refused by name unless it is an integer (not a bool)."""
+    if type(value) is int:  # a tenth of the Integral check's cost; bool is a subclass, not int
+        return value
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -73,6 +75,8 @@ class DisorderSpec:
     def __post_init__(self) -> None:
         if self.model not in DISORDER_MODELS:
             raise ValueError(f"unknown disorder model {self.model!r}; choose from {DISORDER_MODELS}")
+        if isinstance(self.W, (bool, np.bool_)):  # not W = 1.0
+            raise ValueError(f"W must be a number, got {self.W!r}")
         if not 0.0 <= self.W <= math.pi:
             raise ValueError(f"W must lie in [0, pi], got {self.W}")
         if not 0 <= _integer("seed", self.seed) <= _MASK64:

@@ -65,12 +65,14 @@ PRESETS = {
 
 
 def _items(name: str, values, kind) -> tuple:
-    """values as a tuple, refused by name unless it is a sequence (not a string) of kind."""
+    """values as a tuple, refused by name unless it is a sequence (not a string) of kind, bools excluded."""
     try:
         items = tuple(values)
     except TypeError:
         items = None
-    if items is None or isinstance(values, str) or not all(isinstance(v, kind) for v in items):
+    # bool is an Integral and so a Real: True would pass as 1 or 1.0
+    if items is None or isinstance(values, str) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in items):
         noun = "integers" if kind is Integral else "numbers"
         raise ValueError(f"{name} must be a sequence of {noun}, got {values!r}")
     return items

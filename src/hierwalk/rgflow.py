@@ -28,11 +28,15 @@ table: in the compiled library (ckernel's rg_absorbed, in a port of
 CPython's complex arithmetic), one ctypes call per z, or in Python where
 the library cannot be had. On both, every amplitude, every
 PoleProximalError and its condition keep the bits of the plain
-step-by-step recursion. The 720 calls of an rg_crosscheck repetition (40 z
-per field, l = 4, 8 and 12) took 3.4-3.5 ms compiled, against 8.4-8.7 ms
-in the Python loop before it (medians of 40 repetitions, 2-core Intel
-Xeon): some 4.8 us a call, most of it the ctypes call, the checks and the
-two 2-vectors built here. The Python loop itself took 7.8-8.2 ms.
+step-by-step recursion. Both return the two wall 2-vectors as views of one
+8-double buffer (_wall_vectors). The 720 calls of an rg_crosscheck
+repetition (40 z per field, l = 4, 8 and 12) took 2.9-3.1 ms compiled
+(medians of 41 repetitions, 2-core Intel Xeon), against 3.6 ms where each
+call built two 2-vectors and checked l against numbers.Integral, and
+8.4-8.7 ms in the Python loop before the compiled one. That is some 3.9 us
+a call at l = 8 (timeit), against 5.0: the ctypes call itself 0.65 us, the
+spinor check 0.5 us, the buffer and its two views 0.8 us, and the rest
+Python's calls and attribute reads. The Python loop itself took 7.8-8.2 ms.
 """
 
 from __future__ import annotations
@@ -172,11 +176,11 @@ def absorbed_amplitude(
     table = _level_inverses(field)
     recursion = _load_recursion()
     if recursion is not None:
-        io = array("d", (a.real, a.imag, psi0.real, psi0.imag, psi1.real, psi1.imag, cond_limit))
+        io = array("d", (a.real, a.imag, psi0.real, psi0.imag, psi1.real, psi1.imag, cond_limit, 0.0))
         status = recursion(l, table.address, table.singular, io.buffer_info()[0])
         if status:
             raise _refusal(status, io[0], cond_limit)
-        return np.array([complex(io[0], io[1]), 0j]), np.array([0j, complex(io[2], io[3])])
+        return _wall_vectors(io)
     levels = table.entries
     m_ab = m_ba = 0j
     last = l - 1
@@ -201,5 +205,15 @@ def absorbed_amplitude(
         if k == last:
             break
         a, b, m_ab, m_ba = a * g00 * a, b * g11 * b, m_ab + a * g01 * b, m_ba + b * g10 * a
-    return (np.array([a * g00 * psi0 + a * g01 * psi1, 0j]),  # right wall: up only
-            np.array([0j, b * g10 * psi0 + b * g11 * psi1]))  # left wall: down only
+    right, left = a * g00 * psi0 + a * g01 * psi1, b * g10 * psi0 + b * g11 * psi1
+    return _wall_vectors(array("d", (right.real, right.imag, 0.0, 0.0, 0.0, 0.0, left.real, left.imag)))
+
+
+def _wall_vectors(io: array) -> tuple[np.ndarray, np.ndarray]:
+    """The right wall's (up, 0) and the left wall's (0, down): the rows of io's 2x2 complex array.
+
+    Both are views of io, which the call made for them alone: one numpy call
+    where building the two 2-vectors took two and four item conversions.
+    """
+    out = np.frombuffer(io, dtype=complex)
+    return out[:2], out[2:]

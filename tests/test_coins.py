@@ -220,6 +220,13 @@ def test_seed_must_be_an_integer(seed):
         DisorderSpec("hierarchical", 1.0, seed)
 
 
+@pytest.mark.parametrize("W", [True, np.True_])
+def test_W_must_not_be_a_bool(W):
+    """True is not W = 1.0: refused when the spec is made, as epsilon is."""
+    with pytest.raises(ValueError, match="W must be a number, got"):
+        DisorderSpec("hierarchical", W, 1)
+
+
 def test_numpy_integers_are_taken_as_half_width_and_seed():
     spec = DisorderSpec("hierarchical", 1.0, np.uint64(2 ** 64 - 1))
     f = CoinField(0.5, spec, np.int64(16))

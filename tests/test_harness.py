@@ -97,6 +97,15 @@ def test_plan_validation():
             SweepPlan(**{**FAST_PLAN, "threshold": value})
 
 
+@pytest.mark.parametrize("name", ["epsilon_values", "W_values", "fit_window"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_plan_grids_refuse_booleans_by_name(name, flag):
+    """True is not 1.0: a grid or window holding one is refused, not read as epsilon or W = 1."""
+    values = {"epsilon_values": (0.8, flag), "W_values": (flag,), "fit_window": (flag, 8)}[name]
+    with pytest.raises(ValueError, match=f"{name} must be a sequence of numbers, got"):
+        SweepPlan(**{**FAST_PLAN, name: values})
+
+
 def test_plan_instance_seeds_are_offsets():
     plan = SweepPlan(**FAST_PLAN)
     assert plan.instance_seed(0) == 0

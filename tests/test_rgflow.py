@@ -463,7 +463,7 @@ def test_absorbed_amplitude_rejects_bad_l():
         absorbed_amplitude(0, field, 0.3, SYMMETRIC_IC)
 
 
-@pytest.mark.parametrize("l", [True, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("l", [True, 2.5, 3.0, "3", None, np.True_])
 def test_absorbed_amplitude_refuses_a_non_integer_l(l, recursion):
     # checked before the compiled recursion, which takes l as an int32; True is not l = 1
     with pytest.raises(ValueError, match="l must be an integer"):
@@ -474,6 +474,24 @@ def test_absorbed_amplitude_takes_a_numpy_integer_l(recursion):
     field = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.5, seed=2), 8)
     assert (_bytes_or_pole(absorbed_amplitude, np.int64(3), field, 0.3, SYMMETRIC_IC)
             == _bytes_or_pole(absorbed_amplitude, 3, field, 0.3, SYMMETRIC_IC))
+
+
+def test_absorbed_amplitude_returns_two_fresh_wall_vectors(recursion):
+    """(up, +0.0) and (+0.0, down) as complex128 2-vectors, sharing no memory with each other or the next call's."""
+    field = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.5, seed=2), 16)
+    for l in (1, 4):
+        right, left = absorbed_amplitude(l, field, 0.3 - 0.2j, SYMMETRIC_IC)
+        for vec in (right, left):
+            assert type(vec) is np.ndarray and vec.shape == (2,) and vec.dtype == np.complex128
+        assert right[1:].tobytes() == left[:1].tobytes() == bytes(16)  # +0.0, as hierwalk rg prints it
+        assert right[0] != 0 and left[1] != 0
+        later = absorbed_amplitude(l, field, 0.1j, SYMMETRIC_IC)
+        for vec in (right, left):
+            assert not any(np.shares_memory(vec, other) for other in (right, left, *later) if other is not vec)
+        kept = right.tobytes(), left.tobytes()
+        right[:] = left[:] = 7.0
+        assert absorbed_amplitude(l, field, 0.3 - 0.2j, SYMMETRIC_IC)[0].tobytes() == kept[0]
+        assert later[0][1] == later[1][0] == 0
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf), -math.inf,

@@ -904,6 +904,70 @@ def test_numpy_loop_absorbing_walk_matches_fixed_width_oracle(field, psi_ic, num
     test_absorbing_walk_matches_fixed_width_oracle(field, psi_ic)
 
 
+def dense_generating_function(rec, z):
+    """sum_t psi_t z^t over every recorded time: generating_function's form before it read the arrivals."""
+    powers = np.full(len(rec.right), complex(z)).cumprod()  # z^1 .. z^t_max
+    return powers @ rec.right, powers @ rec.left
+
+
+GENFUN_ZS = [0j, 0.9, -0.9, 0.9j, 0.5 - 0.7j] + [
+    complex(z) for z in 0.9 * np.sqrt(np.linspace(0.01, 1.0, 12)) * np.exp(2j * np.pi * np.linspace(0, 1, 12))]
+
+
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+@pytest.mark.parametrize("field", ABSORBING_FIELDS, ids=["none", "hierarchical", "obtuse", "extensive"])
+def test_generating_function_matches_the_dense_sum(field, loop, monkeypatch):
+    """To the rounding of t_max products, |z| up to 0.9, l = 1 (odd first arrival) to 5.
+
+    The horizons stop before the first arrival (no arrival: zeros), at it,
+    and past several reflections. The zero entries are +0.0.
+    """
+    if loop == "numpy":
+        monkeypatch.setattr(walker, "_load_kernel", lambda: None)
+    elif walker.light_cone_kernel() != "compiled":
+        pytest.skip("the compiled loop cannot be built here")
+    for l in range(1, 6):
+        first = 1 << (l - 1)
+        for t_max in sorted({max(first - 1, 1), first, 64}):
+            rec = evolve_absorbing(field, l, DEFAULT_IC, t_max)
+            for z in GENFUN_ZS:
+                got = rec.generating_function(z)
+                powers = np.abs(np.full(t_max, z).cumprod())
+                scale = powers @ np.abs(rec.right) + powers @ np.abs(rec.left)
+                for vec, ref in zip(got, dense_generating_function(rec, z)):
+                    assert vec.shape == (2,) and vec.dtype == np.complex128
+                    assert np.all(np.abs(vec - ref) <= 4 * t_max * np.finfo(float).eps * scale)
+                right, left = got
+                assert right[1:].tobytes() == left[:1].tobytes() == bytes(16)
+                if first > t_max:
+                    assert right.tobytes() == left.tobytes() == bytes(32)
+
+
+@absorbing_cases
+def test_absorbing_record_holds_its_arrivals_at_first_plus_2k(field, psi_ic):
+    """right and left are the arrivals laid out by time, and zero everywhere else."""
+    for l in (1, 3, 5):
+        first = 1 << (l - 1)
+        for t_max in sorted({max(first - 1, 1), first, first + 1, 64}):
+            rec = evolve_absorbing(field, l, psi_ic, t_max)
+            assert rec.first == first
+            assert rec.arrivals.shape == (len(range(first, t_max + 1, 2)), 2)
+            assert rec.arrivals.dtype == np.complex128
+            right, left = rec.right.copy(), rec.left.copy()
+            assert right[first - 1::2, 0].tobytes() == rec.arrivals[:, 0].tobytes()
+            assert left[first - 1::2, 1].tobytes() == rec.arrivals[:, 1].tobytes()
+            right[first - 1::2, 0] = left[first - 1::2, 1] = 0
+            assert right.tobytes() == left.tobytes() == bytes(16 * 2 * t_max)
+
+
+def test_a_record_without_arrivals_still_refuses_a_non_finite_z():
+    rec = evolve_absorbing(hadamard_field(16), 4, DEFAULT_IC, 7)  # the first arrival is at t = 8
+    assert len(rec.arrivals) == 0
+    for z in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            rec.generating_function(z)
+
+
 def test_absorbing_l1_single_step():
     f = hadamard_field(4)
     rec = evolve_absorbing(f, 1, RIGHT_IC, 5)
