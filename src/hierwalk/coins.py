@@ -48,13 +48,21 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value, inside, interval: str) -> float:
+    """float(value), refused by name if it is a bool, does not compare with a float or fails inside."""
+    if not isinstance(value, (bool, np.bool_)):  # True is not 1.0
+        try:
+            if not inside(value):
+                raise ValueError(f"{name} must lie in {interval}, got {value}")
+            return float(value)
+        except TypeError:  # a str, None: no comparison with a float
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def require_epsilon(epsilon: float) -> float:
-    """epsilon as a float, refused if it is a bool or outside the barrier range (0, 1]."""
-    if isinstance(epsilon, (bool, np.bool_)):
-        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return float(epsilon)
+    """epsilon as a float, refused if it is a bool, not a number or outside the barrier range (0, 1]."""
+    return _real("epsilon", epsilon, lambda e: 0.0 < e <= 1.0, "(0, 1]")
 
 
 def require_power_of_two(name: str, value: int) -> int:
@@ -75,10 +83,7 @@ class DisorderSpec:
     def __post_init__(self) -> None:
         if self.model not in DISORDER_MODELS:
             raise ValueError(f"unknown disorder model {self.model!r}; choose from {DISORDER_MODELS}")
-        if isinstance(self.W, (bool, np.bool_)):  # not W = 1.0
-            raise ValueError(f"W must be a number, got {self.W!r}")
-        if not 0.0 <= self.W <= math.pi:
-            raise ValueError(f"W must lie in [0, pi], got {self.W}")
+        _real("W", self.W, lambda w: 0.0 <= w <= math.pi, "[0, pi]")
         if not 0 <= _integer("seed", self.seed) <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -91,7 +96,7 @@ def draw_base_angles(spec: DisorderSpec, count: int) -> np.ndarray:
     and returns the constant pi/4; the other models consume exactly `count`
     uniforms in index order (levels 0,1,... or sites -L..L).
     """
-    if count < 0:
+    if _integer("count", count) < 0:
         raise ValueError("count must be non-negative")
     if spec.model == "none":
         return np.full(count, THETA0)
@@ -139,7 +144,7 @@ class CoinField:
         """theta_i = base_i * epsilon^i, shared by every site of level i."""
         if self._level_base is None:
             raise ValueError("extensive disorder assigns no shared per-level coin")
-        if not 0 <= i < self.n_levels:
+        if not 0 <= _integer("level", i) < self.n_levels:
             raise ValueError(f"level {i} outside [0, {self.n_levels - 1}]")
         return float(self._level_base[i] * self._eps_pow[i])
 
@@ -149,7 +154,7 @@ class CoinField:
         These are the sites sharing the parity of `cone`; they are exactly the
         sites a light cone of that extent can occupy.
         """
-        L = self.half_width
+        L, cone = self.half_width, _integer("cone", cone)
         if not 0 <= cone <= L:
             raise ValueError(f"cone {cone} outside [0, {L}]")
         if self._trig is None:

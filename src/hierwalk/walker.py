@@ -434,42 +434,39 @@ def evolve_state(field: CoinField, psi_ic, t_max: int) -> WaveState:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbsorptionRecord:
-    """Arrival spinors at the two absorbing walls, indexed by arrival time 1..t_max.
+    """Arrival amplitudes at the two absorbing walls, up to arrival time t_max.
 
-    right[t-1] is the spinor absorbed at x = 2^l at time t (only its up
-    component can be nonzero: right-movers arrive from the left); left[t-1]
-    is absorbed at x = 0 (only its down component can be nonzero). Both
-    walls lie 2^(l-1) sites from the start, so every arrival comes at
-    t = first + 2k, first = 2^(l-1): arrivals[k] holds that time's right up
-    and left down amplitudes, for the K = len(arrivals) such t <= t_max (none
-    where first > t_max). right and left hold the same numbers, laid out by t.
+    The walls lie first = 2^(l-1) sites from the start, so every arrival
+    comes at t = first + 2k <= t_max: row k of arrivals holds the up
+    amplitude absorbed at x = 2^l then and the down one absorbed at x = 0
+    (no row where first > t_max). All else absorbs exactly zero. 32 bytes a
+    row, at most 16 (t_max + 1) in all; compared and hashed by identity.
     """
 
-    right: np.ndarray
-    left: np.ndarray
+    t_max: int
     first: int
     arrivals: np.ndarray
 
     def cumulative_absorbed(self) -> np.ndarray:
-        """Total probability absorbed by each time; nondecreasing and <= 1."""
-        per_t = np.sum(np.abs(self.right) ** 2 + np.abs(self.left) ** 2, axis=1)
+        """Total probability absorbed by each time 1..t_max; nondecreasing and <= 1."""
+        per_t = np.zeros(self.t_max)
+        per_t[self.first - 1::2] = np.sum(np.abs(self.arrivals) ** 2, axis=1)
         return np.cumsum(per_t)
 
     def generating_function(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(right, left) wall 2-vectors sum_t psi_t z^t, truncated at the recorded horizon.
 
-        Read from the arrivals alone, as z^first sum_k arrivals[k] (z^2)^k:
-        one cumulative product of K powers and one (K,) by (K, 2) product,
-        where the sum over all t_max times took two of t_max; a record with
-        no arrival returns zeros at once. For rg_crosscheck's records
-        (t_max = 256) that took 3.6-3.7 us a call with 65-125 arrivals and
-        0.55 us with none, against 5.2-6 us for the dense sum (timeit,
-        2-core Intel Xeon). The powers of z^2 take fewer roundings than the
-        t_max - 1 products of z^t, so the sums differ from that dense form
-        in their last bits. A non-finite z is refused with ValueError, as
-        rgflow.absorbed_amplitude refuses it.
+        Computed as z^first sum_k arrivals[k] (z^2)^k: one cumulative product
+        of K powers and one (K,) by (K, 2) product, or zeros at once with no
+        arrival (rg_crosscheck's 256-step records: 3.6-3.7 us a call with
+        65-125 arrivals, 0.55 us with none; timeit, 2-core Intel Xeon). The
+        powers of z^2 round fewer times than the t_max - 1 products of z^t of
+        the dense sum, so the two differ in their last bits. A non-finite z is
+        refused with ValueError, as rgflow.absorbed_amplitude refuses it; a
+        finite z whose powers pass the float range gives non-finite wall
+        entries (see _power; numpy may warn), and the zero entries stay +0.0.
         """
         z = complex(z)
         if not cmath.isfinite(z):
@@ -484,7 +481,8 @@ class AbsorptionRecord:
 
 
 def _power(z: complex, n: int) -> complex:
-    """z ** n for n >= 1 by repeated squaring, in products that overflow to inf where ** raises."""
+    """z ** n for n >= 1 by repeated squaring. Past the float range, where ** raises OverflowError,
+    the products give a non-finite number with a nan part: _power(2+0j, 2048) is (inf+nanj)."""
     power = None
     while True:
         if n & 1:
@@ -499,22 +497,20 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
     """Walk between fully absorbing walls at x = 0 and x = 2^l, started at x = 2^(l-1).
 
     Amplitude arriving at a wall is recorded for that time step and removed, so
-    nothing ever reflects back out of the wall sites. One light-cone walk,
-    the start site's own coin applied, untrimmed. Its coins are two
-    contiguous parity tables of the sites the walk reaches, so the compiled
-    loop reads them in place. Inside the box they are copied from the
-    field's two parity tables (CoinField.trig_slice at cones L and L - 1,
-    L = half_width); the box never holds the origin. Sink coins sit at and
-    beyond the walls (s = +1, c = 0 at x >= 2^l; s = -1, c = 0 at x <= 0):
-    they move an arrival outward unchanged (u + 0 d = u, 0 u + d = d) and
-    make no mover of the other direction. The arrival at time t sits
-    t_max - t sites past its wall at t_max, where the record is read, equal
-    in value to stepping the box alone in complex numpy (signs of exact
-    zeros aside): the arrivals first, then right and left laid out from
-    them. Cost: see the module docstring. A 256-step walk of rg_crosscheck
-    took 61-63 us at l = 4, 8 and 12 (timeit, 2-core Intel Xeon), 27-30 us
-    of it in the compiled loop; with strided coin tables copied for that
-    loop and the record scattered part by part, it took 85-92 us.
+    nothing ever reflects back out of the wall sites. One light-cone walk, the
+    start site's own coin applied, untrimmed. Its coins are two contiguous
+    parity tables of the sites the walk reaches, which the compiled loop reads
+    in place. Inside the box they are copied from the field's two parity tables
+    (CoinField.trig_slice at cones L and L - 1, L = half_width); the box never
+    holds the origin. Sink coins sit at and beyond the walls (s = +1, c = 0 at
+    x >= 2^l; s = -1, c = 0 at x <= 0): they move an arrival outward unchanged
+    (u + 0 d = u, 0 u + d = d) and make no mover of the other direction. The
+    arrival at time t sits t_max - t sites past its wall at t_max, where the
+    record is read, equal in value to stepping the box alone in complex numpy
+    (signs of exact zeros aside); the record holds those arrivals alone. A walk
+    of two rows takes ~80 t_max bytes (buffers and coin tables 32 t_max each).
+    Cost: see the module docstring; a 256-step walk of rg_crosscheck took 61-63
+    us at l = 4, 8 and 12 (timeit, 2-core Intel Xeon), 27-30 us of it compiled.
     """
     l, t_max = _integer("l", l), _integer("t_max", t_max)
     if l < 1:
@@ -553,6 +549,4 @@ def evolve_absorbing(field: CoinField, l: int, psi_ic, t_max: int) -> Absorption
     for row, part in enumerate(parts):
         got = getattr(arrivals, part)
         got[:, 0], got[:, 1] = up[row, t_max:t_max - n:-1], down[row, :n]
-    right, left = np.zeros((2, t_max, 2), dtype=complex)
-    right[start - 1::2, 0], left[start - 1::2, 1] = arrivals.T
-    return AbsorptionRecord(right=right, left=left, first=start, arrivals=arrivals)
+    return AbsorptionRecord(t_max=t_max, first=start, arrivals=arrivals)

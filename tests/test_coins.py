@@ -13,6 +13,7 @@ from hierwalk import (
     evolve_state,
     field_from_config,
 )
+from hierwalk.coins import require_epsilon
 
 from angle_oracle import hierarchy_index, site_angles
 
@@ -233,6 +234,40 @@ def test_numpy_integers_are_taken_as_half_width_and_seed():
     assert f.half_width == 16 and type(f.half_width) is int
     g = CoinField(0.5, DisorderSpec("hierarchical", 1.0, 2 ** 64 - 1), 16)
     assert f.trig_slice(16)[0].tobytes() == g.trig_slice(16)[0].tobytes()
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 3.0, 1.5, "3", None])
+def test_cone_level_and_count_must_be_integers(value):
+    """Refused by name: True is not cone, level or count 1, and 3.0 is not 3."""
+    f = CoinField(0.7, DisorderSpec("hierarchical", 1.0, 3), 16)
+    with pytest.raises(ValueError, match="cone must be an integer"):
+        f.trig_slice(value)
+    with pytest.raises(ValueError, match="level must be an integer"):
+        f.level_angle(value)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        draw_base_angles(f.disorder, value)
+
+
+@pytest.mark.parametrize("value", ["0.5", None, b"0.5", 0.5j])
+def test_epsilon_and_W_must_be_numbers(value):
+    with pytest.raises(ValueError, match="epsilon must be a number, got"):
+        require_epsilon(value)
+    with pytest.raises(ValueError, match="epsilon must be a number, got"):
+        CoinField(value, DisorderSpec(), 16)
+    with pytest.raises(ValueError, match="W must be a number, got"):
+        DisorderSpec("hierarchical", value, 1)
+
+
+def test_numpy_numbers_are_taken_as_cone_level_count_epsilon_and_W():
+    f = CoinField(0.7, DisorderSpec("hierarchical", 1.0, 3), 16)
+    for int_type in (np.int32, np.int64, np.uint8):
+        assert f.trig_slice(int_type(3))[0].tobytes() == f.trig_slice(3)[0].tobytes()
+        assert f.level_angle(int_type(2)) == f.level_angle(2)
+        assert draw_base_angles(f.disorder, int_type(3)).tobytes() == draw_base_angles(f.disorder, 3).tobytes()
+    for epsilon in (np.float64(0.5), np.float32(0.5), np.int64(1), 1):
+        assert require_epsilon(epsilon) == float(epsilon)
+    for W in (np.float64(0.5), np.float32(0.5), np.int64(1), 0):
+        assert DisorderSpec("hierarchical", W, 1).W == W
 
 
 def test_extensive_site_draws_differ_within_level():

@@ -416,7 +416,8 @@ def test_compiled_loop_gives_the_numpy_loops_absorption_bytes(field, psi_ic, mon
     monkeypatch.setattr(walker, "_load_kernel", lambda: None)
     for (l, t_max), a in zip(cases, compiled):
         b = evolve_absorbing(field, l, psi_ic, t_max)
-        assert a.right.tobytes() == b.right.tobytes() and a.left.tobytes() == b.left.tobytes()
+        assert (a.t_max, a.first) == (b.t_max, b.first)
+        assert a.arrivals.tobytes() == b.arrivals.tobytes()
 
 
 def build_kernel(source: str, directory) -> object:
@@ -501,7 +502,7 @@ def one_clone(request, tmp_path_factory):
 def sigma_and_absorption_bytes(field, psi_ic) -> tuple:
     """evolve's sigma to 4096, and evolve_absorbing's records on walls 2 to 4096 sites apart, as bytes."""
     absorbing = [evolve_absorbing(field, l, psi_ic, t_max) for l, t_max in [(1, 5), (3, 64), (8, 700), (12, 256)]]
-    return evolve(field, psi_ic, 4096).sigma.tobytes(), [(a.right.tobytes(), a.left.tobytes()) for a in absorbing]
+    return evolve(field, psi_ic, 4096).sigma.tobytes(), [(a.first, a.arrivals.tobytes()) for a in absorbing]
 
 
 @pytest.fixture(scope="module")
@@ -881,22 +882,29 @@ def absorbing_cases(test):
 
 @absorbing_cases
 def test_absorbing_walk_matches_fixed_width_oracle(field, psi_ic):
-    """The records equal the oracle's in value, bit for bit in every nonzero part.
+    """The arrivals equal the oracle's records at t = first + 2k, in value, bit for bit in every nonzero part.
 
-    Horizons before the first arrival at t = 2^(l-1), at it, and past
-    several reflections; 3 * 2^8 + 7 lies beyond the field's half-width.
-    Only the signs of exact zeros may differ.
+    The oracle absorbs exactly zero at every other time and in the
+    component of the wrong direction: only right-movers reach x = 2^l and
+    only left-movers x = 0. cumulative_absorbed() is the oracle's running
+    sum of |psi|^2, byte for byte. Horizons before the first arrival at
+    t = 2^(l-1), at it, and past several reflections; 3 * 2^8 + 7 lies
+    beyond the field's half-width. Only the signs of exact zeros may differ.
     """
     for l in range(1, 9):
         first = 1 << (l - 1)
         for t_max in sorted({max(first - 1, 1), first, 3 * (1 << l) + 7}):
             rec = evolve_absorbing(field, l, psi_ic, t_max)
-            for got, ref in zip((rec.right, rec.left),
-                                fixed_width_absorbing_reference(field, l, psi_ic, t_max)):
-                assert np.array_equal(got, ref)
-                got, ref = got.view(float), ref.view(float)
-                nonzero = (got != 0) | (ref != 0)
-                assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+            right, left = fixed_width_absorbing_reference(field, l, psi_ic, t_max)
+            dense = np.cumsum(np.sum(np.abs(right) ** 2 + np.abs(left) ** 2, axis=1))
+            assert rec.cumulative_absorbed().tobytes() == dense.tobytes()
+            got, ref = rec.arrivals, np.stack([right[first - 1::2, 0], left[first - 1::2, 1]], axis=1)
+            assert np.array_equal(got, ref)
+            got, ref = got.view(float), ref.view(float)
+            nonzero = (got != 0) | (ref != 0)
+            assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+            right[first - 1::2, 0] = left[first - 1::2, 1] = 0
+            assert np.all(right == 0) and np.all(left == 0)
 
 
 @absorbing_cases
@@ -904,10 +912,18 @@ def test_numpy_loop_absorbing_walk_matches_fixed_width_oracle(field, psi_ic, num
     test_absorbing_walk_matches_fixed_width_oracle(field, psi_ic)
 
 
+def dense_layout(rec):
+    """The record's (right, left) arrival spinors at t = 1..t_max, laid out by time from its arrivals."""
+    right, left = np.zeros((2, rec.t_max, 2), dtype=complex)
+    right[rec.first - 1::2, 0], left[rec.first - 1::2, 1] = rec.arrivals.T
+    return right, left
+
+
 def dense_generating_function(rec, z):
     """sum_t psi_t z^t over every recorded time: generating_function's form before it read the arrivals."""
-    powers = np.full(len(rec.right), complex(z)).cumprod()  # z^1 .. z^t_max
-    return powers @ rec.right, powers @ rec.left
+    powers = np.full(rec.t_max, complex(z)).cumprod()  # z^1 .. z^t_max
+    right, left = dense_layout(rec)
+    return powers @ right, powers @ left
 
 
 GENFUN_ZS = [0j, 0.9, -0.9, 0.9j, 0.5 - 0.7j] + [
@@ -933,7 +949,7 @@ def test_generating_function_matches_the_dense_sum(field, loop, monkeypatch):
             for z in GENFUN_ZS:
                 got = rec.generating_function(z)
                 powers = np.abs(np.full(t_max, z).cumprod())
-                scale = powers @ np.abs(rec.right) + powers @ np.abs(rec.left)
+                scale = sum(powers @ np.abs(part) for part in dense_layout(rec))
                 for vec, ref in zip(got, dense_generating_function(rec, z)):
                     assert vec.shape == (2,) and vec.dtype == np.complex128
                     assert np.all(np.abs(vec - ref) <= 4 * t_max * np.finfo(float).eps * scale)
@@ -945,19 +961,26 @@ def test_generating_function_matches_the_dense_sum(field, loop, monkeypatch):
 
 @absorbing_cases
 def test_absorbing_record_holds_its_arrivals_at_first_plus_2k(field, psi_ic):
-    """right and left are the arrivals laid out by time, and zero everywhere else."""
+    """One arrival per t = first + 2k <= t_max, and probability absorbed at those times alone.
+
+    cumulative_absorbed() has one entry per time 1..t_max and moves only at
+    the arrival times, where it is the running sum of |arrivals[k]|^2; it
+    is all zeros where the horizon stops before the first arrival.
+    """
     for l in (1, 3, 5):
         first = 1 << (l - 1)
         for t_max in sorted({max(first - 1, 1), first, first + 1, 64}):
             rec = evolve_absorbing(field, l, psi_ic, t_max)
-            assert rec.first == first
+            assert (rec.t_max, rec.first) == (t_max, first)
             assert rec.arrivals.shape == (len(range(first, t_max + 1, 2)), 2)
             assert rec.arrivals.dtype == np.complex128
-            right, left = rec.right.copy(), rec.left.copy()
-            assert right[first - 1::2, 0].tobytes() == rec.arrivals[:, 0].tobytes()
-            assert left[first - 1::2, 1].tobytes() == rec.arrivals[:, 1].tobytes()
-            right[first - 1::2, 0] = left[first - 1::2, 1] = 0
-            assert right.tobytes() == left.tobytes() == bytes(16 * 2 * t_max)
+            cum = rec.cumulative_absorbed()
+            assert cum.shape == (t_max,) and cum.dtype == np.float64
+            at_arrivals = np.cumsum(np.sum(np.abs(rec.arrivals) ** 2, axis=1))
+            assert cum[first - 1::2].tobytes() == at_arrivals.tobytes()
+            assert np.all(cum[:first - 1] == 0) and np.all(cum[first::2] == cum[first - 1:t_max - 1:2])
+            if first > t_max:
+                assert len(rec.arrivals) == 0 and cum.tobytes() == bytes(8 * t_max)
 
 
 def test_a_record_without_arrivals_still_refuses_a_non_finite_z():
@@ -971,18 +994,33 @@ def test_a_record_without_arrivals_still_refuses_a_non_finite_z():
 def test_absorbing_l1_single_step():
     f = hadamard_field(4)
     rec = evolve_absorbing(f, 1, RIGHT_IC, 5)
-    assert rec.right[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-    assert rec.left[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    assert rec.first == 1 and rec.arrivals.shape == (3, 2)  # t = 1, 3, 5
+    assert rec.arrivals[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    assert rec.arrivals[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # single interior site: everything is absorbed at t = 1
-    assert np.all(rec.right[1:] == 0)
-    assert np.all(rec.left[1:] == 0)
+    assert np.all(rec.arrivals[1:] == 0)
+    assert np.all(rec.cumulative_absorbed() == rec.cumulative_absorbed()[0])
 
 
-def test_absorbing_wall_spinor_structure():
-    f = CoinField(0.8, DisorderSpec(model="hierarchical", W=0.6, seed=4), 16)
-    rec = evolve_absorbing(f, 3, DEFAULT_IC, 64)
-    assert np.all(rec.right[:, 1] == 0)  # only right-movers reach x = 2^l
-    assert np.all(rec.left[:, 0] == 0)   # only left-movers reach x = 0
+def test_absorbing_records_compare_and_hash_by_identity():
+    f = hadamard_field(16)
+    a, b = (evolve_absorbing(f, 2, DEFAULT_IC, 8) for _ in range(2))
+    assert a.arrivals.tobytes() == b.arrivals.tobytes()
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_generating_function_past_the_float_range_is_non_finite():
+    """No OverflowError, which z ** first would raise: non-finite wall entries, +0.0 zeros."""
+    field = CoinField(0.7, DisorderSpec("hierarchical", 1.0, 3), 4096)
+    rec = evolve_absorbing(field, 12, DEFAULT_IC, 4200)
+    assert rec.first == 2048 and len(rec.arrivals) > 0
+    with pytest.raises(OverflowError):
+        complex(2.0) ** rec.first
+    with np.errstate(invalid="ignore", over="ignore"):
+        right, left = rec.generating_function(2.0)
+    assert not np.isfinite(right[0]) and not np.isfinite(left[1])
+    assert right[1:].tobytes() == left[:1].tobytes() == bytes(16)
 
 
 def test_absorbing_total_probability_reaches_one():
