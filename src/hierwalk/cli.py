@@ -109,7 +109,7 @@ def _cmd_simulate(args) -> int:
     fit = fit_inv_dw(extrapolation_points(series), _window_from(args))
     if args.series_out:
         with open(args.series_out, "w", newline="") as f:
-            write_samples(f, [InstanceRecord(field.epsilon, field.disorder.W, 0, series)])
+            write_samples(f, [InstanceRecord(field.epsilon, field.disorder.W, field.disorder.model, 0, series)])
     print(f"epsilon={_fmt(field.epsilon)}")
     print(f"W={_fmt(field.disorder.W)}")
     print(f"model={field.disorder.model}")
@@ -179,9 +179,9 @@ def _cmd_fit(args) -> int:
     plan = read_manifest(manifest_path)
     window = _window_from(args) or plan.fit_window
     threshold = plan.threshold if args.threshold is None else args.threshold
-    archive = read_samples_csv(samples, base_seed=plan.base_seed)
+    archive = read_samples_csv(samples)
     keys = product(plan.epsilon_values, plan.W_values, [plan.model], range(plan.n_instances))
-    if {(r.epsilon, r.W, r.series.model, r.instance) for r in archive} != set(keys):
+    if {(r.epsilon, r.W, r.model, r.instance) for r in archive} != set(keys):
         raise ValueError(f"{samples} does not hold exactly the (epsilon, W, model, instance) "
                          f"records of the plan in {manifest_path}")
     cells = cells_from_archive(archive, window, threshold)
@@ -214,6 +214,8 @@ def _cmd_rg(args) -> int:
         except PoleProximalError:
             rows.append((re_, im_, "pole_proximal", *[""] * 8))
             continue
+        except OverflowError:  # a finite z whose amplitudes pass the float range
+            raise ValueError(f"z = {complex(re_, im_)} is too large: its amplitudes overflow a float") from None
         rows.append((re_, im_, "ok", *(part for v in (*right, *left) for part in (v.real, v.imag))))
     with _output(args.out) as f:
         write_csv(f, RG_HEADER, rows)

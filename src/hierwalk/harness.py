@@ -23,7 +23,7 @@ import select
 import selectors
 import signal
 import traceback
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import product
 from numbers import Integral, Real
 from pathlib import Path
@@ -150,15 +150,18 @@ class PhaseCell:
     n_instances: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceRecord:
+    """An instance's series and its samples.csv key, in column order; seed = plan.instance_seed(instance)."""
+
     epsilon: float
     W: float
+    model: str
     instance: int
     series: SigmaSeries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     plan: SweepPlan
     cells: tuple
@@ -199,7 +202,7 @@ def aggregate_cell(
             raise ValueError("instances of one cell must share the sample grid")
     stack = np.vstack([s.sigma for s in series_list])  # instance-index order
     mean_sigma = stack.mean(axis=0)
-    averaged = replace(series_list[0], sigma=mean_sigma)
+    averaged = SigmaSeries(grid, mean_sigma)
     fit = fit_inv_dw(extrapolation_points(averaged), fit_window)
     n = len(series_list)
     if n >= 2:
@@ -357,7 +360,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     else:
         series = [_run_instance(plan, key) for key in keys]
     archive = tuple(
-        InstanceRecord(epsilon=e, W=w, instance=m, series=s)
+        InstanceRecord(epsilon=e, W=w, model=plan.model, instance=m, series=s)
         for (e, w, m), s in zip(keys, series)
     )
     cells = cells_from_archive(archive, plan.fit_window, plan.threshold)
@@ -387,7 +390,7 @@ def write_cells(f, cells) -> None:
 def write_samples(f, archive) -> None:
     """Write the samples CSV (header and one row per sample of each InstanceRecord)."""
     write_csv(f, SAMPLES_HEADER, (
-        (float(rec.epsilon), float(rec.W), rec.series.model, rec.instance, t, sig)
+        (float(rec.epsilon), float(rec.W), rec.model, rec.instance, t, sig)
         for rec in archive for t, sig in zip(rec.series.t, rec.series.sigma)
     ))
 
@@ -526,7 +529,7 @@ def cells_from_archive(
         groups.setdefault((rec.epsilon, rec.W), []).append(rec)
     cells = []
     for key, recs in groups.items():
-        models = sorted({r.series.model for r in recs})
+        models = sorted({r.model for r in recs})
         if len(models) > 1:
             raise ValueError(
                 f"cell (epsilon={key[0]}, W={key[1]}) mixes disorder models {models}"
@@ -538,11 +541,11 @@ def cells_from_archive(
     return cells
 
 
-def read_samples_csv(path, base_seed: int = 0) -> tuple:
-    """Parse a samples.csv archive back into InstanceRecords.
+def read_samples_csv(path) -> tuple:
+    """Parse a samples.csv archive back into InstanceRecords, in first-appearance order.
 
-    Seeds are reconstructed as base_seed + instance; pass the base seed from the
-    run manifest to recover the original metadata exactly.
+    The file holds no seed: instance m's is the plan's instance_seed(m), and
+    the plan is in the sweep's manifest.json (read_manifest).
     """
     rows = {}  # insertion order is first-appearance order
     with open(path, newline="") as f:
@@ -564,13 +567,10 @@ def read_samples_csv(path, base_seed: int = 0) -> tuple:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     records = []
-    for (eps, w, model, inst), (first_line, ts, sigs) in rows.items():
+    for key, (first_line, ts, sigs) in rows.items():
         try:
-            series = SigmaSeries(
-                t=np.array(ts), sigma=np.array(sigs),
-                epsilon=eps, W=w, model=model, seed=(base_seed + inst) & _MASK64,
-            )
+            series = SigmaSeries(np.array(ts), np.array(sigs))
         except ValueError as exc:
             raise ValueError(f"{path}:{first_line}: {exc}") from exc
-        records.append(InstanceRecord(epsilon=eps, W=w, instance=inst, series=series))
+        records.append(InstanceRecord(*key, series))
     return tuple(records)

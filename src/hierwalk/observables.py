@@ -22,19 +22,25 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
+def _integer_times(name: str, values) -> np.ndarray:
+    """values as an int64 array, refused by name unless each is an integer, not a bool; [] is taken."""
+    ts = np.asarray(values)
+    # a cast would truncate 1.9 to 1, and an integer array takes True as 1
+    if ts.size and (ts.dtype.kind not in "iu" or ts.ndim and not isinstance(values, np.ndarray)
+                    and any(isinstance(t, (bool, np.bool_)) for t in values)):
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return ts.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class SigmaSeries:
-    """Sampled RMS displacement sigma(t) for one disorder instance."""
+    """Sampled RMS displacement sigma(t) of one walk at integer times t; compared by identity."""
 
     t: np.ndarray
     sigma: np.ndarray
-    epsilon: float
-    W: float
-    model: str
-    seed: int
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=np.int64)
+        t = _integer_times("t", self.t)
         sigma = np.asarray(self.sigma, dtype=float)
         if t.shape != sigma.shape or t.ndim != 1:
             raise ValueError("t and sigma must be 1d arrays of equal length")

@@ -75,7 +75,7 @@ from functools import cache, partial
 import numpy as np
 
 from .coins import CoinField, _integer
-from .observables import SigmaSeries
+from .observables import SigmaSeries, _integer_times
 
 DEFAULT_IC = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
 DEFAULT_IC.setflags(write=False)
@@ -389,14 +389,9 @@ def _wave_state(t: int, up: np.ndarray, down: np.ndarray, mirror: bool, parts,
 
 
 def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
-    ts = np.asarray(sample_times)
+    ts = _integer_times("sample_times", sample_times)
     if ts.size == 0:
         raise ValueError("sample_times must not be empty")
-    # a cast would truncate 1.9 to 1, and an integer array takes True as 1
-    if ts.dtype.kind not in "iu" or (not isinstance(sample_times, np.ndarray)
-                                     and any(isinstance(t, (bool, np.bool_)) for t in sample_times)):
-        raise ValueError(f"sample_times must be integers, got {sample_times!r}")
-    ts = ts.astype(np.int64)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if ts[0] < 1 or ts[-1] > t_max:
@@ -405,7 +400,10 @@ def _validated_sample_times(sample_times, t_max: int) -> np.ndarray:
 
 
 def evolve(field: CoinField, psi_ic, t_max: int, sample_times=None) -> SigmaSeries:
-    """Run t_max steps from a localized start, recording sigma(t) at the sample times."""
+    """Run t_max steps from a localized start, recording sigma(t) at the sample times.
+
+    The series holds t and sigma alone: the field's epsilon, W, model and seed are the caller's.
+    """
     psi = _as_spinor(psi_ic)
     _check_horizon(field, t_max, 1)
     if sample_times is None:
@@ -414,14 +412,7 @@ def evolve(field: CoinField, psi_ic, t_max: int, sample_times=None) -> SigmaSeri
     mirror, parts = _real_walks(psi, field.mirror_symmetric)
     sigmas = np.array([_window_sigma(t, up, down, lo, hi, mirror)
                        for t, up, down, lo, hi, _ in _windows(field.trig_slice, psi, ts, mirror, parts)])
-    return SigmaSeries(
-        t=ts,
-        sigma=sigmas,
-        epsilon=field.epsilon,
-        W=field.disorder.W,
-        model=field.disorder.model,
-        seed=field.disorder.seed,
-    )
+    return SigmaSeries(ts, sigmas)
 
 
 def evolve_state(field: CoinField, psi_ic, t_max: int) -> WaveState:

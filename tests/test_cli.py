@@ -463,17 +463,33 @@ def test_non_finite_threshold_is_refused_before_any_walk_or_read(
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("z", [
-    ("--z-re", "0.1", "--z-re", "nan"),
-    ("--z-re", "0.1", "--z-re", "inf"),
-    ("--z-re", "0.1", "--z-im", "0.0", "--z-re", "0.3", "--z-im", "nan"),
-], ids=["re_nan", "re_inf", "im_nan"])
-def test_rg_refuses_non_finite_z_before_writing_a_row(capsys, tmp_path, z):
+# finite, but its level-0 products pass the float range: the recursion raises OverflowError
+BIG_Z = ("--z-re", "5.1786325704432674e+153", "--z-im", "1.3320228166461836e+154")
+BIG_Z_REFUSAL = ("error: z = (5.1786325704432674e+153+1.3320228166461836e+154j) is too large: "
+                 "its amplitudes overflow a float\n")
+
+
+@pytest.mark.parametrize("z, recursion, message", [
+    (("--z-re", "0.1", "--z-re", "nan"), None, "z must be finite"),
+    (("--z-re", "0.1", "--z-re", "inf"), None, "z must be finite"),
+    (("--z-re", "0.1", "--z-im", "0.0", "--z-re", "0.3", "--z-im", "nan"), None, "z must be finite"),
+    (("--z-re", "0.1", "--z-im", "0.0", *BIG_Z), "compiled", BIG_Z_REFUSAL),
+    (("--z-re", "0.1", "--z-im", "0.0", *BIG_Z), "python", BIG_Z_REFUSAL),
+], ids=["re_nan", "re_inf", "im_nan", "overflow_compiled", "overflow_python"])
+def test_rg_refuses_non_finite_z_before_writing_a_row(capsys, tmp_path, monkeypatch, z, recursion,
+                                                      message):
+    from hierwalk import rgflow
+
+    if recursion == "python":
+        monkeypatch.setattr(rgflow, "_load_recursion", lambda: None)
+    elif recursion == "compiled" and rgflow._load_recursion() is None:
+        pytest.skip("the compiled recursion cannot be built here")
     out = tmp_path / "rg.csv"
-    code, stdout, err = run_cli(capsys, "rg", "--l", "3", "--epsilon", "0.8", *z, "--out", str(out))
+    code, stdout, err = run_cli(capsys, "rg", "--l", "3", "--epsilon", "0.7", "--W", "1.0",
+                                "--seed", "3", *z, "--out", str(out))
     assert code == 1
     assert stdout == ""
-    assert "z must be finite" in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err  # no traceback
     assert not out.exists()
 
 

@@ -29,6 +29,7 @@ from hierwalk import (
 from hierwalk import ckernel, harness, walker
 from hierwalk.harness import (
     CELLS_HEADER,
+    SAMPLES_HEADER,
     PhaseCell,
     read_manifest,
     write_cells,
@@ -358,10 +359,7 @@ def test_aggregation_matches_direct_recomputation():
     for cell in result.cells:
         series_list = result.instances(cell.epsilon, cell.W)
         stack = np.vstack([s.sigma for s in series_list])
-        averaged = SigmaSeries(
-            t=series_list[0].t, sigma=stack.mean(axis=0),
-            epsilon=cell.epsilon, W=cell.W, model=plan.model, seed=0,
-        )
+        averaged = SigmaSeries(t=series_list[0].t, sigma=stack.mean(axis=0))
         fit = fit_inv_dw(extrapolation_points(averaged))
         assert cell.mean_inv_dw == fit.inv_dw
         per = np.array([
@@ -424,11 +422,10 @@ def test_write_csv_writes_numpy_scalars_like_python_ones():
 
 
 def test_integer_cell_coordinates_are_written_as_floats():
-    series = SigmaSeries(t=np.array([2, 4, 8, 16]), sigma=np.array([1.0, 2.0, 4.0, 8.0]),
-                         epsilon=1, W=0, model="none", seed=0)
+    series = SigmaSeries(t=np.array([2, 4, 8, 16]), sigma=np.array([1.0, 2.0, 4.0, 8.0]))
     f = io.StringIO()
     write_cells(f, [aggregate_cell(1, 0, [series])])
-    write_samples(f, [InstanceRecord(epsilon=1, W=0, instance=0, series=series)])
+    write_samples(f, [InstanceRecord(epsilon=1, W=0, model="none", instance=0, series=series)])
     rows = f.getvalue().splitlines()
     assert rows[1].startswith("1.0,0.0,") and rows[3] == "1.0,0.0,none,0,2,1.0"
 
@@ -436,6 +433,21 @@ def test_integer_cell_coordinates_are_written_as_floats():
 def test_cells_header_follows_phase_cell_fields():
     # write_cells writes each PhaseCell's fields in declaration order
     assert CELLS_HEADER.split(",") == [f.name for f in dataclasses.fields(PhaseCell)]
+
+
+def test_instance_record_follows_the_samples_columns():
+    # one samples.csv row is a record's fields, then one (t, sigma) sample of its series
+    names = [f.name for f in dataclasses.fields(InstanceRecord)]
+    assert names[-1] == "series"
+    assert SAMPLES_HEADER.split(",") == names[:-1] + ["t", "sigma"]
+
+
+def test_records_and_results_compare_and_hash_by_identity():
+    plan = SweepPlan(**FAST_PLAN)
+    a, b = run_sweep(plan), run_sweep(plan)
+    for x, y in ((a, b), (a.archive[0], b.archive[0])):
+        assert x == x and x != y  # == raised ValueError on the arrays they hold
+        assert len({x, y, x}) == 2 and hash(x) == hash(x)
 
 
 def test_manifest_plan_is_the_sweep_plan(tmp_path):
@@ -476,13 +488,13 @@ def test_samples_roundtrip_and_refit(tmp_path):
     plan = small_disordered_plan()
     result = run_sweep(plan)
     emit_results(result, tmp_path)
-    archive = read_samples_csv(tmp_path / "samples.csv", base_seed=plan.base_seed)
+    archive = read_samples_csv(tmp_path / "samples.csv")
     assert len(archive) == len(result.archive)
     for orig, parsed in zip(result.archive, archive):
         assert parsed.epsilon == orig.epsilon
         assert parsed.W == orig.W
+        assert parsed.model == orig.model == plan.model
         assert parsed.instance == orig.instance
-        assert parsed.series.seed == orig.series.seed
         np.testing.assert_array_equal(parsed.series.t, orig.series.t)
         np.testing.assert_array_equal(parsed.series.sigma, orig.series.sigma)
     cells = cells_from_archive(archive, plan.fit_window, plan.threshold)
@@ -499,14 +511,13 @@ def test_cells_from_archive_rejects_mixed_models(tmp_path):
     with pytest.raises(ValueError, match=r"epsilon=0\.8, W=0\.5.*mixes disorder models"):
         cells_from_archive(archive)
     # each model alone still aggregates
-    assert len(cells_from_archive([r for r in archive if r.series.model == "extensive"])) == 1
+    assert len(cells_from_archive([r for r in archive if r.model == "extensive"])) == 1
 
 
 def test_extrapolation_table_synthetic_diffusive(tmp_path):
     t = np.array([2, 4, 8, 16, 32, 64])
-    series = SigmaSeries(t=t, sigma=np.sqrt(t.astype(float)),
-                         epsilon=1.0, W=0.0, model="none", seed=0)
-    rec = InstanceRecord(epsilon=1.0, W=0.0, instance=0, series=series)
+    series = SigmaSeries(t=t, sigma=np.sqrt(t.astype(float)))
+    rec = InstanceRecord(epsilon=1.0, W=0.0, model="none", instance=0, series=series)
     cell = aggregate_cell(1.0, 0.0, [series])
     plan = SweepPlan(**{**FAST_PLAN, "sample_times": tuple(int(x) for x in t), "t_max": 64})
     result = SweepResult(plan=plan, cells=(cell,), archive=(rec,))
@@ -526,9 +537,8 @@ def test_extrapolation_table_unknown_cell(tmp_path):
 
 def test_extrapolation_table_rejects_empty(tmp_path):
     # all samples at t = 1 carry no extrapolation information
-    series = SigmaSeries(t=np.array([1]), sigma=np.array([1.0]),
-                         epsilon=1.0, W=0.0, model="none", seed=0)
-    rec = InstanceRecord(epsilon=1.0, W=0.0, instance=0, series=series)
+    series = SigmaSeries(t=np.array([1]), sigma=np.array([1.0]))
+    rec = InstanceRecord(epsilon=1.0, W=0.0, model="none", instance=0, series=series)
     # a plan cannot hold this grid (its fit window would be empty); the table reads only the archive
     result = SweepResult(plan=SweepPlan(**FAST_PLAN), cells=(), archive=(rec,))
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,8 @@ from hierwalk import (
 )
 
 
-def make_series(t, s, **meta):
-    defaults = dict(epsilon=1.0, W=0.0, model="none", seed=0)
-    defaults.update(meta)
-    return SigmaSeries(t=np.asarray(t), sigma=np.asarray(s, dtype=float), **defaults)
+def make_series(t, s):
+    return SigmaSeries(t=np.asarray(t), sigma=np.asarray(s, dtype=float))
 
 
 def power_law_series(A, inv_d, t_max=2 ** 12):
@@ -89,6 +88,41 @@ def test_series_rejects_superluminal_sigma():
 def test_series_rejects_non_finite_sigma(value):
     with pytest.raises(ValueError, match="sigma must be finite"):
         make_series([2, 4], [1.0, value])
+
+
+@pytest.mark.parametrize("t", [
+    [1.5, 2.7, 3.9], np.array([1.0, 2.0, 3.0]), [True, 2, 3], (1, np.True_, 3),
+], ids=["floats", "float_array", "bool", "numpy_bool"])
+def test_series_refuses_non_integer_times_by_name(t):
+    # a cast would keep t = [1, 2, 3] and the fit would read the wrong log t
+    with pytest.raises(ValueError) as err:
+        SigmaSeries(t=t, sigma=[0.5, 1.0, 1.5])
+    assert str(err.value) == f"t must be integers, got {t!r}"
+
+
+@pytest.mark.parametrize("t", [
+    np.array([1, 2, 4], dtype=np.int32), np.array([1, 2, 4], dtype=np.uint64),
+    [1, 2, 4], (1, np.int64(2), 4),
+], ids=["int32", "uint64", "list", "tuple_with_numpy_int"])
+def test_series_takes_integer_times_as_int64(t):
+    series = SigmaSeries(t=t, sigma=[0.5, 1.0, 1.5])
+    assert series.t.dtype == np.int64 and series.t.tolist() == [1, 2, 4]
+
+
+def test_series_may_be_empty():
+    series = SigmaSeries(t=[], sigma=[])
+    assert series.t.dtype == np.int64 and series.t.size == 0 and series.sigma.size == 0
+
+
+def test_series_has_only_its_samples():
+    assert [f.name for f in dataclasses.fields(SigmaSeries)] == ["t", "sigma"]
+
+
+def test_series_compare_and_hash_by_identity():
+    a = make_series([2, 4], [1.0, 2.0])
+    b = make_series([2, 4], [1.0, 2.0])
+    assert a == a and a != b  # == raised ValueError on arrays
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 # --- extrapolation points -----------------------------------------------------

@@ -786,6 +786,12 @@ def test_evolve_validates_sample_times():
     for times in ([True, 2, 16], (1, np.True_, 16), np.array([True, False])):  # True is not t = 1
         with pytest.raises(ValueError, match="sample_times must be integers"):
             evolve(f, DEFAULT_IC, 16, times)
+    for times in ([], (), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="^sample_times must not be empty$"):
+            evolve(f, DEFAULT_IC, 16, times)
+    with pytest.raises(ValueError) as err:
+        evolve(f, DEFAULT_IC, 16, [1.9, True, 16])
+    assert str(err.value) == "sample_times must be integers, got [1.9, True, 16]"
     assert list(evolve(f, DEFAULT_IC, 16, (1, np.int64(2), 16)).t) == [1, 2, 16]
 
 
@@ -828,12 +834,6 @@ def test_hierarchy_exponent_at_short_horizon():
     series = evolve(f, DEFAULT_IC, 2 ** 12)
     fit = fit_inv_dw(extrapolation_points(series))
     assert abs(fit.inv_dw - predicted_inv_dw(0.6)) < 0.1
-
-
-def test_series_metadata_comes_from_field():
-    f = CoinField(0.9, DisorderSpec(model="extensive", W=0.2, seed=77), 64)
-    series = evolve(f, DEFAULT_IC, 64)
-    assert (series.epsilon, series.W, series.model, series.seed) == (0.9, 0.2, "extensive", 77)
 
 
 # --- absorbing walls ---------------------------------------------------------
